@@ -13,7 +13,7 @@ import numpy as np
 
 from . import grouping, io, mixture, synth
 from .config import load_pipeline_config
-from .errors import DegenerateDataError, DomainError, RaicarnError
+from .errors import DegenerateDataError, DomainError, RaicarnError, ShapeMismatchError
 from .ica import IcaConfig, residual_sd, run_group_ica, run_single_ica, z_scale
 from .null import NullConfig, run_raicar_n
 
@@ -225,6 +225,12 @@ def cmd_mixture(args) -> int:
     tol = _pick(args.tol, cfg_mix, "tol", 1e-9)
     report = io.read_report(args.report)
     rc = io.load_runs(args.manifest)
+    for mc in report.matched:
+        if len(mc.members) != rc.K or any(not 0 <= comp < rc.n_C for _, comp, _ in mc.members):
+            raise ShapeMismatchError(
+                f"{args.report}: report does not fit the {rc.K} runs of "
+                f"{rc.n_C} components in {args.manifest}"
+            )
     out = _outdir(args)
     n_done = 0
     for rank, (mc, sig) in enumerate(zip(report.matched, report.significant), start=1):
@@ -234,7 +240,7 @@ def cmd_mixture(args) -> int:
         normalized = mixture.normalize_maps(aligned)
         t_map, degenerate = mixture.group_tstat(normalized)
         try:
-            fit = mixture.fit_mixture(t_map, max_iters=max_iters, tol=tol, seed=args.seed)
+            fit = mixture.fit_mixture(t_map, max_iters=max_iters, tol=tol)
         except DegenerateDataError:
             # No spread to model (e.g. identical member maps): everything null.
             fit = None

@@ -141,7 +141,8 @@ def write_report(report: ReproducibilityReport, path, null_path=None) -> None:
 
 
 def read_report(path) -> ReproducibilityReport:
-    """Read back a report written by write_report (round-trip law)."""
+    """Read back a report written by write_report (round-trip law); a
+    missing key raises IoFailureError naming the file and the key."""
     base = os.path.dirname(os.path.abspath(path))
     header = {}
     components = []
@@ -152,25 +153,24 @@ def read_report(path) -> ReproducibilityReport:
             components[-1][key] = value
         else:
             header[key] = value
-    null_sample = read_matrix(os.path.join(base, header["null_sample"]))[0]
-    p_crit = float(header["p_crit"])
+
+    def need(d, key):
+        if key not in d:
+            raise IoFailureError(f"{path}: missing key {key!r}")
+        return d[key]
+
+    null_sample = read_matrix(os.path.join(base, need(header, "null_sample")))[0]
+    p_crit = float(need(header, "p_crit"))
     matched, p_values = [], []
     for c in components:
         members = []
-        for tok in c["members"].split():
+        for tok in need(c, "members").split():
             run, comp, sign = tok.split(":")
             members.append((int(run) - 1, int(comp) - 1, 1 if sign == "+" else -1))
-        K = len(members)
-        anchor_run, anchor_comp = (int(v) - 1 for v in c["anchor"].split(":"))
-        rep = float(c["reproducibility"])
-        # Similarity matrices are not serialized; reconstruct a placeholder
-        # consistent with the stored reproducibility.
-        H = np.full((K, K), rep)
-        np.fill_diagonal(H, 1.0)
-        matched.append(
-            MatchedComponent(tuple(members), (anchor_run, anchor_comp), H, rep)
-        )
-        p_values.append(float(c["p_value"]))
+        anchor_run, anchor_comp = (int(v) - 1 for v in need(c, "anchor").split(":"))
+        rep = float(need(c, "reproducibility"))
+        matched.append(MatchedComponent(tuple(members), (anchor_run, anchor_comp), rep))
+        p_values.append(float(need(c, "p_value")))
     p = np.array(p_values)
     return ReproducibilityReport(tuple(matched), null_sample, p, p_crit, p < p_crit)
 

@@ -155,7 +155,7 @@ def _select_dof(x, loc, scale, weights=None):
     return best
 
 
-def fit_mixture(t_map, max_iters: int = 500, tol: float = 1e-9, seed: int = 0) -> MixtureFit:
+def fit_mixture(t_map, max_iters: int = 500, tol: float = 1e-9) -> MixtureFit:
     """EM fit of the t / Gamma+ / Gamma- mixture to a statistic map.
 
     The background dof is picked from a small grid (re-selected every few

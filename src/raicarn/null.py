@@ -1,8 +1,9 @@
 """Permutation null model for reproducibility and p-value assignment.
 
 Null replicates re-partition the K*n_C component labels into K pseudo-runs
-by permuting the stored full correlation matrix, re-run the greedy
-matching, and pool the resulting reproducibility values. Each replicate
+by permuting the stored signed correlation matrix, re-run the greedy
+matching, score the sets with the same functions as the observed sets,
+and pool the resulting reproducibility values. Each replicate
 draws its RNG from (seed, replicate_index) so replicates can run
 concurrently without changing any output bit.
 """
@@ -13,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPermutationError
-from .raicar import compute_crcm, match_components, match_and_score
+from .raicar import (
+    compute_crcm,
+    match_and_score,
+    match_components,
+    normalized_reproducibility,
+    similarity_matrix,
+)
 from .types import Crcm, ReproducibilityReport, RunCollection
 
 
@@ -31,36 +38,23 @@ class NullConfig:
 
 
 def permute_crcm(G: Crcm, g) -> Crcm:
-    """Relabel components by permutation g (applied to rows and columns of
-    the full correlation matrix) and re-zero the within-run blocks under
-    the new partition."""
+    """Relabel components by permutation g, applied to rows and columns of
+    the signed correlation matrix; the new partition into runs follows
+    from the flat indices."""
     g = np.asarray(g)
     N = G.K * G.n_C
     if g.shape != (N,) or not np.array_equal(np.sort(g), np.arange(N)):
         raise InvalidPermutationError(f"not a permutation of 0..{N - 1}")
-    full = G.full[np.ix_(g, g)]
-    matrix = full.copy()
-    for r in range(G.K):
-        sl = slice(r * G.n_C, (r + 1) * G.n_C)
-        matrix[sl, sl] = 0.0
-    return Crcm(G.K, G.n_C, matrix, full)
+    return Crcm(G.K, G.n_C, G.signed[np.ix_(g, g)])
 
 
 def _replicate_values(G: Crcm, seed, r) -> np.ndarray:
-    """Reproducibility values of one null replicate."""
+    """Reproducibility values of one null replicate, scored exactly as the
+    observed sets are."""
     rng = np.random.default_rng([seed, r])
-    g = rng.permutation(G.K * G.n_C)
-    Gp = permute_crcm(G, g)
+    Gp = permute_crcm(G, rng.permutation(G.K * G.n_C))
     matched, _ = match_components(Gp)
-    n_C = G.n_C
-    vals = np.empty(n_C)
-    iu = np.triu_indices(G.K, k=1)
-    denom = (G.K - 1) * G.K / 2.0
-    for k, (members, _anchor) in enumerate(matched):
-        idx = np.array([run * n_C + comp for run, comp in members])
-        H = Gp.full[np.ix_(idx, idx)]
-        vals[k] = H[iu].sum() / denom
-    return vals
+    return normalized_reproducibility(similarity_matrix(Gp, [m for m, _ in matched]))
 
 
 def null_distribution(rc: RunCollection, G: Crcm, cfg: NullConfig, threads: int = 1) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Cross-run component matching and normalized reproducibility.
 
-Builds the block matrix of absolute spatial correlations between all
-components of all runs, greedily matches one component per run into
-aligned sets, and scores each set by the mean of its pairwise absolute
-correlations.
+Builds the block matrix of signed spatial correlations between all
+components of all runs once, greedily matches one component per run into
+aligned sets on its absolute values, and scores each set by the mean of
+its pairwise absolute correlations read from that same matrix. Observed
+sets and permutation-null sets go through the same scoring functions.
 """
 
 from dataclasses import dataclass, field
@@ -13,28 +14,18 @@ import numpy as np
 from .types import Crcm, MatchedComponent, RunCollection
 
 
-def _abs_corr_matrix(X: np.ndarray) -> np.ndarray:
-    """Absolute Pearson correlations between rows of X; zero-variance rows
-    correlate 0 with everything (including themselves)."""
-    Xc = X - X.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(Xc, axis=1)
-    ok = norms > 0
-    N = np.zeros_like(Xc)
-    N[ok] = Xc[ok] / norms[ok, None]
-    C = np.abs(N @ N.T)
-    return np.clip(C, 0.0, 1.0)
-
-
 def compute_crcm(rc: RunCollection) -> Crcm:
-    """Absolute correlations between every pair of components across runs,
-    with within-run blocks zeroed; the un-zeroed matrix is kept for
-    permutation nulls."""
-    full = _abs_corr_matrix(rc.flat_maps())
-    matrix = full.copy()
-    for r in range(rc.K):
-        sl = slice(r * rc.n_C, (r + 1) * rc.n_C)
-        matrix[sl, sl] = 0.0
-    return Crcm(rc.K, rc.n_C, matrix, full)
+    """Signed Pearson correlations between every pair of component maps
+    across all runs; zero-variance maps correlate 0 with everything
+    (including themselves)."""
+    X = rc.flat_maps()
+    Z = X - X.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(Z, axis=1)
+    # a zero-norm row is already all zeros, so it is left as it is
+    np.divide(Z, norms[:, None], out=Z, where=norms[:, None] > 0)
+    C = Z @ Z.T
+    np.clip(C, -1.0, 1.0, out=C)
+    return Crcm(rc.K, rc.n_C, C)
 
 
 @dataclass
@@ -80,7 +71,7 @@ def match_components(G: Crcm):
     is used exactly once.
     """
     K, n_C = G.K, G.n_C
-    W = G.matrix.copy()
+    W = G.matrix
     used = [set() for _ in range(K)]
     trace = MatchTrace()
 
@@ -138,47 +129,49 @@ def match_components(G: Crcm):
     return matched, trace
 
 
-def similarity_matrix(rc: RunCollection, members) -> np.ndarray:
-    """K x K absolute correlations between the member maps, unit diagonal."""
-    X = np.stack([rc.maps[r, c] for r, c, *_ in members])
-    H = _abs_corr_matrix(X)
-    np.fill_diagonal(H, 1.0)
+def similarity_matrix(G: Crcm, members) -> np.ndarray:
+    """Absolute correlations among the members of one or more sets, read
+    from the CRCM, with unit diagonal. ``members`` holds (run, component)
+    pairs: shape (K, 2) for one set gives a K x K matrix, shape (S, K, 2)
+    for S sets gives (S, K, K)."""
+    m = np.asarray(members)
+    flat = m[..., 0] * G.n_C + m[..., 1]
+    H = np.abs(G.signed[flat[..., :, None], flat[..., None, :]])
+    K = flat.shape[-1]
+    H[..., np.arange(K), np.arange(K)] = 1.0
     return H
 
 
-def normalized_reproducibility(H: np.ndarray) -> float:
-    """Mean of the strict upper triangle of a K x K similarity matrix."""
-    K = H.shape[0]
+def normalized_reproducibility(H: np.ndarray) -> np.ndarray:
+    """Mean of the strict upper triangle of each K x K similarity matrix
+    in H, shape (..., K, K); returns an array of shape H.shape[:-2]."""
+    K = H.shape[-1]
     iu = np.triu_indices(K, k=1)
-    return float(2.0 * H[iu].sum() / ((K - 1) * K))
+    upper = H[..., iu[0], iu[1]]
+    # each set's sum is its own 1-D reduction, as when sets were scored one
+    # at a time, so a value does not depend on how many sets are stacked
+    sums = np.array([u.sum() for u in upper.reshape(-1, upper.shape[-1])])
+    return (2.0 * sums / ((K - 1) * K)).reshape(H.shape[:-2])
 
 
-def align_signs(rc: RunCollection, members, anchor):
-    """Attach alignment signs: the anchor map gets +1, every other member
-    the sign of its signed correlation with the anchor (0 maps to +1)."""
-    a = rc.maps[anchor[0], anchor[1]]
-    ac = a - a.mean()
-    out = []
-    for r, c, *_ in members:
-        if (r, c) == tuple(anchor):
-            out.append((r, c, 1))
-            continue
-        x = rc.maps[r, c]
-        corr = float(np.dot(ac, x - x.mean()))
-        out.append((r, c, -1 if corr < 0 else 1))
-    return out
+def align_signs(G: Crcm, members, anchor):
+    """Attach alignment signs: each member gets the sign of its correlation
+    with the anchor, 0 mapping to +1. The anchor's correlation with itself
+    is a sum of squares, so it always gets +1."""
+    a = G.signed[anchor[0] * G.n_C + anchor[1]]
+    return [(r, c, -1 if a[r * G.n_C + c] < 0 else 1) for r, c, *_ in members]
 
 
 def match_and_score(rc: RunCollection, G: Crcm = None):
     """Full original-RAICAR pass: match, sign-align, and score every
-    component slot. Returns MatchedComponents in matching order."""
+    component slot from the CRCM. Returns MatchedComponents in matching
+    order."""
     if G is None:
         G = compute_crcm(rc)
     matched, trace = match_components(G)
-    out = []
-    for members, anchor in matched:
-        signed = align_signs(rc, members, anchor)
-        H = similarity_matrix(rc, signed)
-        rep = normalized_reproducibility(H)
-        out.append(MatchedComponent(tuple(signed), anchor, H, rep))
+    reps = normalized_reproducibility(similarity_matrix(G, [m for m, _ in matched]))
+    out = [
+        MatchedComponent(tuple(align_signs(G, members, anchor)), anchor, rep)
+        for (members, anchor), rep in zip(matched, reps)
+    ]
     return out, trace

@@ -86,40 +86,48 @@ def validate_run_collection(runs) -> RunCollection:
 
 @dataclass(frozen=True)
 class Crcm:
-    """Cross-realization correlation matrix over K runs of n_C components.
+    """Cross-run correlation matrix over K runs of n_C components.
 
-    ``matrix`` is the (K*n_C, K*n_C) matrix of absolute correlations with
-    the K within-run diagonal blocks zeroed; ``full`` keeps the same
-    correlations with diagonal blocks intact, which is what permutation
-    nulls re-partition.
+    ``signed`` is the (K*n_C, K*n_C) matrix of signed Pearson correlations
+    between all component maps, clipped to [-1, 1]; flat index = run * n_C
+    + component. It is the only correlation the pipeline stores: matching,
+    sign alignment and scoring (observed and null alike) all read it.
     """
 
     K: int
     n_C: int
-    matrix: np.ndarray
-    full: np.ndarray
+    signed: np.ndarray
 
     def __post_init__(self):
         N = self.K * self.n_C
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        full = np.asarray(self.full, dtype=np.float64)
-        if matrix.shape != (N, N) or full.shape != (N, N):
-            raise RaggedRunsError(f"expected {(N, N)} matrices")
-        if not (np.isfinite(matrix).all() and np.isfinite(full).all()):
+        signed = np.asarray(self.signed, dtype=np.float64)
+        if signed.shape != (N, N):
+            raise RaggedRunsError(f"expected a {(N, N)} matrix")
+        if not np.isfinite(signed).all():
             raise NonFiniteError("correlation matrix contains non-finite values")
-        if matrix.min() < 0.0 or matrix.max() > 1.0:
-            raise ValueError("correlation entries must lie in [0, 1]")
-        if not np.array_equal(matrix, matrix.T):
+        if signed.min() < -1.0 or signed.max() > 1.0:
+            raise ValueError("correlation entries must lie in [-1, 1]")
+        if not np.array_equal(signed, signed.T):
             raise ValueError("correlation matrix must be symmetric")
+        object.__setattr__(self, "signed", _freeze(signed))
+
+    @property
+    def full(self) -> np.ndarray:
+        """Absolute correlations, within-run blocks intact (a new array)."""
+        return np.abs(self.signed)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Absolute correlations with the within-run diagonal blocks zeroed:
+        the greedy matcher's working copy (a new, writable array)."""
+        m = np.abs(self.signed)
         for r in range(self.K):
             sl = slice(r * self.n_C, (r + 1) * self.n_C)
-            if matrix[sl, sl].any():
-                raise ValueError("within-run diagonal blocks must be zero")
-        object.__setattr__(self, "matrix", _freeze(matrix))
-        object.__setattr__(self, "full", _freeze(full))
+            m[sl, sl] = 0.0
+        return m
 
     def block(self, l: int, m: int) -> np.ndarray:
-        """The n_C x n_C block of correlations between runs l and m."""
+        """The n_C x n_C block of ``matrix`` between runs l and m."""
         i = slice(l * self.n_C, (l + 1) * self.n_C)
         j = slice(m * self.n_C, (m + 1) * self.n_C)
         return self.matrix[i, j]
@@ -127,7 +135,7 @@ class Crcm:
 
 @dataclass(frozen=True)
 class MatchedComponent:
-    """One aligned component per run plus its cross-run similarity.
+    """One aligned component per run plus its normalized reproducibility.
 
     ``members[r] = (run_index, component_index, sign)`` with one member per
     run; the anchor member carries sign +1.
@@ -135,7 +143,6 @@ class MatchedComponent:
 
     members: tuple
     anchor: tuple  # (run_index, component_index) of the anchor member
-    similarity: np.ndarray
     reproducibility: float
 
     def __post_init__(self):
@@ -148,17 +155,9 @@ class MatchedComponent:
         anchor_sign = next(m[2] for m in self.members if (m[0], m[1]) == tuple(self.anchor))
         if anchor_sign != 1:
             raise ValueError("anchor member must carry sign +1")
-        H = np.asarray(self.similarity, dtype=np.float64)
-        if H.shape != (K, K):
-            raise ValueError(f"similarity matrix must be {K}x{K}")
-        if H.min() < 0.0 or H.max() > 1.0 + 1e-12:
-            raise ValueError("similarity entries must lie in [0, 1]")
-        if not np.allclose(H, H.T, atol=1e-12) or not np.allclose(np.diag(H), 1.0):
-            raise ValueError("similarity must be symmetric with unit diagonal")
         if not 0.0 <= self.reproducibility <= 1.0 + 1e-12:
             raise ValueError("reproducibility must lie in [0, 1]")
         object.__setattr__(self, "members", tuple(tuple(m) for m in self.members))
-        object.__setattr__(self, "similarity", _freeze(H))
         object.__setattr__(self, "reproducibility", float(self.reproducibility))
 
 

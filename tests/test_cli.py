@@ -182,3 +182,33 @@ class TestMixtureCommand:
         rc = main(["mixture", "--report", str(tmp_path / "gone.txt"),
                    "--manifest", manifest, "--seed", "0", "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_report_missing_members_is_runtime_error(self, tmp_path, capsys):
+        manifest, report = self._analysis(tmp_path)
+        with open(report) as f:
+            lines = f.read().splitlines()
+        lines.remove(next(line for line in lines if line.startswith("members = ")))
+        with open(report, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        rc = main(["mixture", "--report", report, "--manifest", manifest,
+                   "--seed", "0", "--out", str(tmp_path / "mix")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert report in err and "'members'" in err
+
+    def test_manifest_with_fewer_components_is_runtime_error(self, tmp_path):
+        _manifest, report = self._analysis(tmp_path)
+        other = _simulate(tmp_path / "other", seed=24, K=8, nc=2, n=2000)
+        rc = main(["mixture", "--report", report, "--manifest", other,
+                   "--seed", "0", "--out", str(tmp_path / "mix")])
+        assert rc == 1
+
+    def test_manifest_with_more_runs_is_runtime_error(self, tmp_path):
+        manifest = _simulate(tmp_path / "sim", seed=25, K=4, n=2000)
+        assert main(["raicarn", manifest, "--R", "20", "--seed", "0",
+                     "--out", str(tmp_path / "rep")]) == 0
+        other = _simulate(tmp_path / "other", seed=25, K=5, n=2000)
+        rc = main(["mixture", "--report", str(tmp_path / "rep" / "report.txt"),
+                   "--manifest", other, "--seed", "0", "--out", str(tmp_path / "mix")])
+        assert rc == 1
+        assert not (tmp_path / "mix").exists()

@@ -126,10 +126,8 @@ class TestReportFormat:
         reps = sorted(rng.random(n_C), reverse=True)
         mcs = []
         for i, rep in enumerate(reps):
-            H = np.full((K, K), rep)
-            np.fill_diagonal(H, 1.0)
             members = tuple((r, (i + r) % n_C, 1 if r == 0 else -1) for r in range(K))
-            mcs.append(MatchedComponent(members, members[0][:2], H, rep))
+            mcs.append(MatchedComponent(members, members[0][:2], rep))
         null = rng.random(null_len)
         p = np.sort(rng.uniform(0.01, 0.99, n_C))
         return ReproducibilityReport(tuple(mcs), null, p, 0.05, p < 0.05)

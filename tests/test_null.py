@@ -100,6 +100,19 @@ class TestNullDistribution:
         pool = null_distribution(rc, G, NullConfig(R=50, seed=0))
         assert abs(pool.mean() - obs_mean) < 0.02
 
+    def test_identity_replicate_scores_like_observed(self):
+        # the null and the observed pass share one scoring path, so the
+        # identity relabeling reproduces the observed values bit for bit
+        from raicarn.raicar import match_and_score, normalized_reproducibility, similarity_matrix
+
+        rc = _random_rc(5, 4, 80, seed=13)
+        G = compute_crcm(rc)
+        Gp = permute_crcm(G, np.arange(20))
+        matched, _ = match_components(Gp)
+        null_vals = normalized_reproducibility(similarity_matrix(Gp, [m for m, _ in matched]))
+        observed, _ = match_and_score(rc, G)
+        assert list(null_vals) == [mc.reproducibility for mc in observed]
+
 
 class TestPValues:
     def test_observed_above_all(self):

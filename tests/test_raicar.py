@@ -104,9 +104,10 @@ class TestMatchComponents:
         from raicarn.synth import PlantSpec, planted_runset
 
         rc, _ = planted_runset(PlantSpec(n=60, n_C=2, K=3, n_planted=2, overlap=0.95, seed=7))
-        matched, _ = match_components(compute_crcm(rc))
+        G = compute_crcm(rc)
+        matched, _ = match_components(G)
         total = sum(
-            normalized_reproducibility(similarity_matrix(rc, members))
+            normalized_reproducibility(similarity_matrix(G, members))
             for members, _ in matched
         )
         assert total == pytest.approx(_exhaustive_best(rc), abs=1e-9)
@@ -115,7 +116,7 @@ class TestMatchComponents:
         K, n_C = 3, 2
         N = K * n_C
         zero = np.zeros((N, N))
-        G = Crcm(K, n_C, zero, zero)
+        G = Crcm(K, n_C, zero)
         matched, _ = match_components(G)
         assert len(matched) == n_C
         used = [tuple(m) for members, _ in matched for m in members]
@@ -133,7 +134,7 @@ class TestSimilarityAndReproducibility:
         rng = np.random.default_rng(9)
         x = rng.standard_normal(40)
         rc = RunCollection(np.array([[x], [x], [x]]))
-        H = similarity_matrix(rc, [(0, 0), (1, 0), (2, 0)])
+        H = similarity_matrix(compute_crcm(rc), [(0, 0), (1, 0), (2, 0)])
         np.testing.assert_allclose(H, 1.0, atol=1e-12)
 
     def test_orthogonal_members_identity(self):
@@ -145,14 +146,23 @@ class TestSimilarityAndReproducibility:
         v -= v.mean(axis=1, keepdims=True)
         q, _ = np.linalg.qr(v.T)
         rc = RunCollection(q.T[:, None, :].copy())
-        H = similarity_matrix(rc, [(0, 0), (1, 0), (2, 0)])
+        H = similarity_matrix(compute_crcm(rc), [(0, 0), (1, 0), (2, 0)])
         np.testing.assert_allclose(H, np.eye(3), atol=1e-10)
 
     def test_hand_built_three_members(self):
         rc = _random_rc(3, 1, 30, seed=11)
-        H = similarity_matrix(rc, [(0, 0), (1, 0), (2, 0)])
+        H = similarity_matrix(compute_crcm(rc), [(0, 0), (1, 0), (2, 0)])
         for a, b in itertools.combinations(range(3), 2):
             assert H[a, b] == pytest.approx(_hand_corr(rc.maps[a, 0], rc.maps[b, 0]), abs=1e-12)
+
+    def test_stacked_sets_score_like_single_sets(self):
+        rc = _random_rc(20, 3, 40, seed=15)
+        G = compute_crcm(rc)
+        sets = [[(r, (c + r) % 3) for r in range(20)] for c in range(3)]
+        stacked = normalized_reproducibility(similarity_matrix(G, sets))
+        single = [normalized_reproducibility(similarity_matrix(G, m)) for m in sets]
+        assert stacked.shape == (3,)
+        assert list(stacked) == single
 
     def test_all_ones_reproducibility(self):
         assert normalized_reproducibility(np.ones((4, 4))) == pytest.approx(1.0)
@@ -171,14 +181,14 @@ class TestSimilarityAndReproducibility:
 class TestAlignSigns:
     def test_anchor_positive(self):
         rc = _random_rc(2, 1, 30, seed=12)
-        signed = align_signs(rc, [(0, 0), (1, 0)], (0, 0))
+        signed = align_signs(compute_crcm(rc), [(0, 0), (1, 0)], (0, 0))
         assert signed[0] == (0, 0, 1)
 
     def test_negated_member_flips(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(30)
         rc = RunCollection(np.array([[x], [-x]]))
-        signed = align_signs(rc, [(0, 0), (1, 0)], (0, 0))
+        signed = align_signs(compute_crcm(rc), [(0, 0), (1, 0)], (0, 0))
         assert signed[1][2] == -1
 
     def test_alignment_makes_correlations_positive(self):
@@ -186,7 +196,7 @@ class TestAlignSigns:
         x = rng.standard_normal(50)
         maps = np.array([[x], [-x + 0.1 * rng.standard_normal(50)], [x + 0.1 * rng.standard_normal(50)]])
         rc = RunCollection(maps)
-        signed = align_signs(rc, [(0, 0), (1, 0), (2, 0)], (0, 0))
+        signed = align_signs(compute_crcm(rc), [(0, 0), (1, 0), (2, 0)], (0, 0))
         anchor = rc.maps[0, 0] - rc.maps[0, 0].mean()
         for r, c, s in signed:
             m = s * rc.maps[r, c]

@@ -50,49 +50,55 @@ class TestValidateRunCollection:
 
 
 class TestCrcm:
-    def test_rejects_nonzero_diagonal_block(self):
-        N = 4
-        full = np.eye(N)
-        with pytest.raises(ValueError):
-            Crcm(2, 2, full, full)
-
     def test_rejects_asymmetry(self):
         m = np.zeros((4, 4))
         m[0, 2] = 0.5
         with pytest.raises(ValueError):
-            Crcm(2, 2, m, m)
+            Crcm(2, 2, m)
 
     def test_block_view(self):
         m = np.zeros((4, 4))
         m[0, 2] = m[2, 0] = 0.7
-        G = Crcm(2, 2, m, m)
+        G = Crcm(2, 2, m)
         assert G.block(0, 1)[0, 0] == 0.7
+
+    def test_rejects_out_of_range(self):
+        m = np.eye(4)
+        m[0, 2] = m[2, 0] = -1.5
+        with pytest.raises(ValueError):
+            Crcm(2, 2, m)
+
+    def test_absolute_views_derive_from_signed(self):
+        m = np.eye(4)
+        m[0, 1] = m[1, 0] = 0.3  # within run 0
+        m[0, 2] = m[2, 0] = -0.7  # across runs
+        G = Crcm(2, 2, m)
+        np.testing.assert_array_equal(G.full, np.abs(m))
+        expected = np.abs(m)
+        expected[:2, :2] = expected[2:, 2:] = 0.0
+        np.testing.assert_array_equal(G.matrix, expected)
 
 
 class TestMatchedComponent:
     def test_rejects_duplicate_run(self):
         members = ((0, 0, 1), (0, 1, 1))
         with pytest.raises(ValueError):
-            MatchedComponent(members, (0, 0), np.eye(2), 0.0)
+            MatchedComponent(members, (0, 0), 0.0)
 
     def test_rejects_negative_anchor_sign(self):
         members = ((0, 0, -1), (1, 0, 1))
         with pytest.raises(ValueError):
-            MatchedComponent(members, (0, 0), np.eye(2), 0.0)
+            MatchedComponent(members, (0, 0), 0.0)
 
     def test_valid(self):
         members = ((0, 1, 1), (1, 0, -1), (2, 2, 1))
-        H = np.full((3, 3), 0.5)
-        np.fill_diagonal(H, 1.0)
-        mc = MatchedComponent(members, (0, 1), H, 0.5)
+        mc = MatchedComponent(members, (0, 1), 0.5)
         assert mc.reproducibility == 0.5
 
 
 class TestReport:
     def _mc(self, rep):
-        H = np.full((2, 2), rep)
-        np.fill_diagonal(H, 1.0)
-        return MatchedComponent(((0, 0, 1), (1, 0, 1)), (0, 0), H, rep)
+        return MatchedComponent(((0, 0, 1), (1, 0, 1)), (0, 0), rep)
 
     def test_flags_must_match_pvalues(self):
         mcs = (self._mc(0.9), self._mc(0.1))
