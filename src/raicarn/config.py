@@ -1,6 +1,7 @@
-"""Pipeline configuration file: INI-style sections mirroring the CLI
-stages. Unknown sections or keys are rejected and numeric bounds are
-enforced at parse time."""
+"""Pipeline configuration file: INI-style sections supplying defaults to
+the subcommands that take ``--config`` ([ica] to ``ica``, [null] to
+``raicarn``, [mixture] to ``mixture``). Unknown sections or keys are
+rejected and numeric bounds are enforced at parse time."""
 
 import configparser
 from dataclasses import dataclass
@@ -9,11 +10,8 @@ from .errors import IoFailureError
 
 _SCHEMA = {
     "ica": {"q": int, "nonlinearity": str, "max_iters": int, "tol": float},
-    "raicar": {},
     "null": {"R": int, "p_crit": float},
-    "grouping": {"N": int, "alpha_max": float, "K": int},
     "mixture": {"max_iters": int, "tol": float},
-    "pipeline": {"seed": int},
 }
 
 
@@ -21,9 +19,7 @@ _SCHEMA = {
 class PipelineConfig:
     ica: dict
     null: dict
-    grouping: dict
     mixture: dict
-    seed: int = None
 
 
 def load_pipeline_config(path) -> PipelineConfig:
@@ -49,13 +45,7 @@ def load_pipeline_config(path) -> PipelineConfig:
             except ValueError as e:
                 raise ValueError(f"{path}: bad value for {section}.{key}: {raw!r}") from e
     _check_bounds(path, out)
-    return PipelineConfig(
-        ica=out["ica"],
-        null=out["null"],
-        grouping=out["grouping"],
-        mixture=out["mixture"],
-        seed=out["pipeline"].get("seed"),
-    )
+    return PipelineConfig(**out)
 
 
 def _check_bounds(path, out):
@@ -76,13 +66,6 @@ def _check_bounds(path, out):
         fail("null.R must be >= 1")
     if "p_crit" in null and not 0.0 < null["p_crit"] < 1.0:
         fail("null.p_crit must lie in (0, 1)")
-    grouping = out["grouping"]
-    if "N" in grouping and grouping["N"] < 2:
-        fail("grouping.N must be >= 2")
-    if "alpha_max" in grouping and not 0.0 < grouping["alpha_max"] < 1.0:
-        fail("grouping.alpha_max must lie in (0, 1)")
-    if "K" in grouping and grouping["K"] < 1:
-        fail("grouping.K must be >= 1")
     mixture = out["mixture"]
     if "max_iters" in mixture and mixture["max_iters"] < 1:
         fail("mixture.max_iters must be >= 1")

@@ -17,15 +17,6 @@ def pair_probability(N: int, L: int) -> float:
     return (L * (L - 1)) / (N * (N - 1))
 
 
-def expected_cooccurrence(K: int, N: int, L: int) -> float:
-    """Expected number of co-occurrences of a fixed pair over K groups."""
-    if K < 0:
-        raise DomainError(f"K must be >= 0, got {K}")
-    if K == 0:
-        return 0.0
-    return K * pair_probability(N, L)
-
-
 def max_group_size(N: int, alpha_max: float):
     """Largest L in [2, N] with pair_probability(N, L) <= alpha_max, or
     None when even L = 2 exceeds the cap."""

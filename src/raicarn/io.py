@@ -16,6 +16,7 @@ from .errors import (
     IoFailureError,
     MaskLengthMismatchError,
     NonFiniteError,
+    RaggedRunsError,
     ShapeMismatchError,
 )
 from .types import MatchedComponent, ReproducibilityReport, validate_run_collection
@@ -89,7 +90,8 @@ def read_manifest(path):
 
 def load_runs(manifest_path):
     """Load a RunCollection from a manifest, applying the mask (if any)
-    before validation."""
+    before validation. Each run is copied into one (K, n_C, n) array as it
+    is read, so loading holds one run beside the result, not K of them."""
     run_paths, mask_path = read_manifest(manifest_path)
     mask = None
     if mask_path is not None:
@@ -97,8 +99,8 @@ def load_runs(manifest_path):
         if m.shape[0] != 1:
             raise ShapeMismatchError(f"{mask_path}: mask must be a 1-row matrix")
         mask = m[0] != 0.0
-    runs = []
-    for p in run_paths:
+    runs = None
+    for r, p in enumerate(run_paths):
         maps = read_matrix(p)
         if mask is not None:
             if maps.shape[1] != mask.shape[0]:
@@ -106,7 +108,11 @@ def load_runs(manifest_path):
                     f"{p}: mask length {mask.shape[0]} vs map length {maps.shape[1]}"
                 )
             maps = maps[:, mask]
-        runs.append(list(maps))
+        if runs is None:
+            runs = np.empty((len(run_paths),) + maps.shape)
+        elif maps.shape != runs.shape[1:]:
+            raise RaggedRunsError(f"{p}: all runs must share n_C and map length n")
+        runs[r] = maps
     return validate_run_collection(runs)
 
 
@@ -141,8 +147,10 @@ def write_report(report: ReproducibilityReport, path, null_path=None) -> None:
 
 
 def read_report(path) -> ReproducibilityReport:
-    """Read back a report written by write_report (round-trip law); a
-    missing key raises IoFailureError naming the file and the key."""
+    """Read back a report written by write_report (round-trip law). A
+    missing key or a value that does not parse raises IoFailureError
+    naming the file and the key; values that do not form a valid report
+    raise IoFailureError naming the file."""
     base = os.path.dirname(os.path.abspath(path))
     header = {}
     components = []
@@ -154,25 +162,44 @@ def read_report(path) -> ReproducibilityReport:
         else:
             header[key] = value
 
-    def need(d, key):
+    def need(d, key, parse=str):
         if key not in d:
             raise IoFailureError(f"{path}: missing key {key!r}")
-        return d[key]
+        try:
+            return parse(d[key])
+        except ValueError as e:
+            raise IoFailureError(f"{path}: bad value for {key!r}: {e}") from e
 
     null_sample = read_matrix(os.path.join(base, need(header, "null_sample")))[0]
-    p_crit = float(need(header, "p_crit"))
-    matched, p_values = [], []
-    for c in components:
-        members = []
-        for tok in need(c, "members").split():
-            run, comp, sign = tok.split(":")
-            members.append((int(run) - 1, int(comp) - 1, 1 if sign == "+" else -1))
-        anchor_run, anchor_comp = (int(v) - 1 for v in need(c, "anchor").split(":"))
-        rep = float(need(c, "reproducibility"))
-        matched.append(MatchedComponent(tuple(members), (anchor_run, anchor_comp), rep))
-        p_values.append(float(need(c, "p_value")))
-    p = np.array(p_values)
-    return ReproducibilityReport(tuple(matched), null_sample, p, p_crit, p < p_crit)
+    p_crit = need(header, "p_crit", float)
+    parsed = [
+        (need(c, "members", _parse_members), need(c, "anchor", _parse_anchor),
+         need(c, "reproducibility", float))
+        for c in components
+    ]
+    p = np.array([need(c, "p_value", float) for c in components])
+    try:
+        matched = tuple(MatchedComponent(*fields) for fields in parsed)
+        return ReproducibilityReport(matched, null_sample, p, p_crit, p < p_crit)
+    except ValueError as e:
+        raise IoFailureError(f"{path}: {e}") from e
+
+
+def _parse_anchor(text):
+    """One-based ``run:component`` as a zero-based (run, component)."""
+    run, comp = text.split(":")
+    return int(run) - 1, int(comp) - 1
+
+
+def _parse_members(text):
+    """Members written as one-based ``run:component:sign``, sign + or -."""
+    members = []
+    for tok in text.split():
+        run, comp, sign = tok.split(":")
+        if sign not in ("+", "-"):
+            raise ValueError(f"sign must be + or -, got {tok!r}")
+        members.append((int(run) - 1, int(comp) - 1, 1 if sign == "+" else -1))
+    return tuple(members)
 
 
 def write_text(path, lines) -> None:

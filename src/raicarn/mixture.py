@@ -47,7 +47,8 @@ def normalize_maps(maps) -> np.ndarray:
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 2:
         raise DegenerateDataError("expected a K x n matrix")
-    return np.vstack([normalize_empirical(row) for row in maps])
+    # C order, so that group_tstat still sums over the maps row by row
+    return np.ascontiguousarray(normalize_empirical(maps.T).T)
 
 
 def group_tstat(aligned_maps):

@@ -53,7 +53,7 @@ def _replicate_values(G: Crcm, seed, r) -> np.ndarray:
     observed sets are."""
     rng = np.random.default_rng([seed, r])
     Gp = permute_crcm(G, rng.permutation(G.K * G.n_C))
-    matched, _ = match_components(Gp)
+    matched = match_components(Gp)
     return normalized_reproducibility(similarity_matrix(Gp, [m for m, _ in matched]))
 
 
@@ -89,8 +89,7 @@ def run_raicar_n(rc: RunCollection, cfg: NullConfig, threads: int = 1) -> Reprod
     permutation null, p-values, significance; sorted by descending
     reproducibility."""
     G = compute_crcm(rc)
-    matched, _trace = match_and_score(rc, G)
-    matched = sorted(matched, key=lambda mc: -mc.reproducibility)
+    matched = sorted(match_and_score(rc, G), key=lambda mc: -mc.reproducibility)
     pool = null_distribution(rc, G, cfg, threads=threads)
     obs = np.array([mc.reproducibility for mc in matched])
     p = p_values(obs, pool)

@@ -7,8 +7,6 @@ its pairwise absolute correlations read from that same matrix. Observed
 sets and permutation-null sets go through the same scoring functions.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .types import Crcm, MatchedComponent, RunCollection
@@ -28,105 +26,47 @@ def compute_crcm(rc: RunCollection) -> Crcm:
     return Crcm(rc.K, rc.n_C, C)
 
 
-@dataclass
-class MatchStep:
-    """Audit record for one matched component."""
-
-    anchor: tuple  # (l, i, m, j) of the seeding pair
-    anchor_value: float
-    selections: list = field(default_factory=list)  # (s, e_s, side, a_val, b_val)
-
-
-@dataclass
-class MatchTrace:
-    """Full audit trail of the greedy matching; replays deterministically."""
-
-    steps: list = field(default_factory=list)
-
-    def member_lists(self):
-        out = []
-        for step in self.steps:
-            l, i, m, j = step.anchor
-            members = {l: i, m: j}
-            for s, e_s, _side, _a, _b in step.selections:
-                members[s] = e_s
-            out.append([(r, members[r]) for r in sorted(members)])
-        return out
-
-
-def _argmax_2d(W: np.ndarray):
-    """Index of the maximal entry; exact ties broken by smallest flat
-    (row-major) index, i.e. lexicographically smallest position."""
-    idx = int(np.argmax(W))
-    return divmod(idx, W.shape[1])
-
-
 def match_components(G: Crcm):
     """Greedy across-run matching on the zeroed correlation matrix.
 
-    Repeatedly seeds a matched set at the global maximum, then pulls the
-    best-correlated unused component from every other run, zeroing used
-    rows and columns as it goes. Returns one matched set per component
-    slot plus an audit trace; across all sets every (run, component) pair
-    is used exactly once.
+    Each component slot seeds a matched set at the global maximum (the
+    anchor pair), then takes from every other run the unused component
+    best correlated with either anchor member, the second member winning
+    ties, and zeroes the rows and columns of all members. A run with no
+    positive correlation to either takes its lowest-index unused
+    component. Returns one (members, anchor) pair per slot, members being
+    (run, component) pairs in run order; across all sets every
+    (run, component) pair is used exactly once.
     """
     K, n_C = G.K, G.n_C
+    N = K * n_C
     W = G.matrix
-    used = [set() for _ in range(K)]
-    trace = MatchTrace()
-
-    def flat(r, c):
-        return r * n_C + c
-
-    def zero_out(r, c):
-        W[flat(r, c), :] = 0.0
-        W[:, flat(r, c)] = 0.0
-        used[r].add(c)
-
-    def lowest_unused(r):
-        return min(set(range(n_C)) - used[r])
-
-    for _ in range(n_C):
-        fi, fj = _argmax_2d(W)
-        peak = W[fi, fj]
-        if peak > 0.0:
-            l, i = divmod(fi, n_C)
-            m, j = divmod(fj, n_C)
-            if (l, i) > (m, j):  # keep the anchor pair lexicographic
-                l, i, m, j = m, j, l, i
-        else:
-            # Fully degenerate matrix: seed from the lowest-index unused
-            # components of the two lowest-index runs.
-            l, m = sorted(r for r in range(K) if len(used[r]) < n_C)[:2]
-            i, j = lowest_unused(l), lowest_unused(m)
-        step = MatchStep(anchor=(l, i, m, j), anchor_value=float(peak))
-        row_i = W[flat(l, i), :].copy()
-        col_j = W[:, flat(m, j)].copy()
-        for s in range(K):
-            if s in (l, m):
-                continue
-            block = slice(s * n_C, (s + 1) * n_C)
-            a_s = int(np.argmax(col_j[block]))
-            b_s = int(np.argmax(row_i[block]))
-            a_val = float(col_j[block][a_s])
-            b_val = float(row_i[block][b_s])
-            if a_val == 0.0 and b_val == 0.0:
-                e_s, side = lowest_unused(s), "fallback"
-            elif a_val >= b_val:
-                e_s, side = a_s, "column"
-            else:
-                e_s, side = b_s, "row"
-            step.selections.append((s, e_s, side, a_val, b_val))
-            zero_out(s, e_s)
-        zero_out(l, i)
-        zero_out(m, j)
-        trace.steps.append(step)
-
+    free = np.ones((K, n_C), dtype=bool)
+    runs = np.arange(K)
     matched = []
-    for step, members in zip(trace.steps, trace.member_lists()):
-        anchor = (step.anchor[0], step.anchor[1])
-        matched.append((members, anchor))
-    return matched, trace
+    for _ in range(n_C):
+        # W is symmetric, so the first maximum in row-major order has
+        # fi < fj: the anchor pair comes out lexicographic.
+        fi, fj = divmod(int(np.argmax(W)), N)
+        if W[fi, fj] <= 0.0:
+            # Fully degenerate matrix: seed from the lowest-index unused
+            # components of runs 0 and 1.
+            fi, fj = int(np.argmax(free[0])), n_C + int(np.argmax(free[1]))
+        # row fj equals column fj by symmetry
+        col = W[fj].reshape(K, n_C)
+        row = W[fi].reshape(K, n_C)
+        a, b = col.argmax(axis=1), row.argmax(axis=1)
+        a_val, b_val = col[runs, a], row[runs, b]
+        pick = np.where(a_val >= b_val, a, b)
+        pick = np.where((a_val == 0.0) & (b_val == 0.0), free.argmax(axis=1), pick)
+        (l, i), (m, j) = divmod(fi, n_C), divmod(fj, n_C)
+        pick[l], pick[m] = i, j
+        flat = runs * n_C + pick
+        W[flat, :] = 0.0
+        W[:, flat] = 0.0
+        free[runs, pick] = False
+        matched.append((list(enumerate(pick.tolist())), (l, i)))
+    return matched
 
 
 def similarity_matrix(G: Crcm, members) -> np.ndarray:
@@ -168,10 +108,9 @@ def match_and_score(rc: RunCollection, G: Crcm = None):
     order."""
     if G is None:
         G = compute_crcm(rc)
-    matched, trace = match_components(G)
+    matched = match_components(G)
     reps = normalized_reproducibility(similarity_matrix(G, [m for m, _ in matched]))
-    out = [
+    return [
         MatchedComponent(tuple(align_signs(G, members, anchor)), anchor, rep)
         for (members, anchor), rep in zip(matched, reps)
     ]
-    return out, trace

@@ -16,16 +16,21 @@ def gen_sources(q: int, n: int, family: str, seed: int) -> np.ndarray:
     non-Gaussian family."""
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
-    rng = np.random.default_rng(seed)
+    return _draw(np.random.default_rng(seed), family, (q, n))
+
+
+def _draw(rng, family: str, size) -> np.ndarray:
+    """iid zero-mean, unit-variance draws of the given size from one
+    source family."""
     if family == "laplacian":
-        return rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=(q, n))
+        return rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=size)
     if family == "uniform":
-        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(q, n))
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=size)
     if family == "bernoulli_gaussian":
         # Spike-and-slab with activation probability 0.1, scaled to unit
         # variance.
-        active = rng.random(size=(q, n)) < 0.1
-        return active * rng.standard_normal((q, n)) / np.sqrt(0.1)
+        active = rng.random(size=size) < 0.1
+        return active * rng.standard_normal(size) / np.sqrt(0.1)
     raise DomainError(f"unknown source family {family!r}")
 
 
@@ -84,19 +89,10 @@ def planted_runset(spec: PlantSpec):
             fresh = rng.standard_normal(spec.n)
             maps.append(np.sqrt(rho) * base[b] + np.sqrt(1.0 - rho) * fresh)
         for _ in range(spec.n_C - spec.n_planted):
-            maps.append(_filler(rng, spec))
+            maps.append(_draw(rng, spec.noise_kind, spec.n))
         order = rng.permutation(spec.n_C)
         for slot, src in enumerate(order):
             runs[r, slot] = maps[src]
             if src < spec.n_planted:
                 labels[src][r] = slot
     return RunCollection(runs), labels
-
-
-def _filler(rng, spec: PlantSpec) -> np.ndarray:
-    if spec.noise_kind == "laplacian":
-        return rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=spec.n)
-    if spec.noise_kind == "uniform":
-        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=spec.n)
-    active = rng.random(spec.n) < 0.1
-    return active * rng.standard_normal(spec.n) / np.sqrt(0.1)

@@ -68,9 +68,12 @@ class RunCollection:
 
 def validate_run_collection(runs) -> RunCollection:
     """Build a RunCollection from nested lists/arrays, checking shape and
-    finiteness. Raises RaggedRunsError / NonFiniteError / TooFewRunsError."""
+    finiteness; a float64 (K, n_C, n) array is frozen in place, not copied.
+    Raises RaggedRunsError / NonFiniteError / TooFewRunsError."""
     if len(runs) < 2:
         raise TooFewRunsError(f"need at least 2 runs, got {len(runs)}")
+    if isinstance(runs, np.ndarray) and runs.ndim == 3:
+        return RunCollection(runs)
     per_run = []
     for r, run in enumerate(runs):
         maps = [np.asarray(m, dtype=np.float64) for m in run]
@@ -152,9 +155,8 @@ class MatchedComponent:
             raise ValueError("members must contain exactly one entry per run")
         if any(m[2] not in (1, -1) for m in self.members):
             raise ValueError("signs must be +1 or -1")
-        anchor_sign = next(m[2] for m in self.members if (m[0], m[1]) == tuple(self.anchor))
-        if anchor_sign != 1:
-            raise ValueError("anchor member must carry sign +1")
+        if (*self.anchor, 1) not in [tuple(m) for m in self.members]:
+            raise ValueError("anchor must be a member with sign +1")
         if not 0.0 <= self.reproducibility <= 1.0 + 1e-12:
             raise ValueError("reproducibility must lie in [0, 1]")
         object.__setattr__(self, "members", tuple(tuple(m) for m in self.members))

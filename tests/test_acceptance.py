@@ -134,7 +134,7 @@ def test_greedy_matching_vs_exhaustive_oracle():
             PlantSpec(n=500, n_C=n_C, K=K, n_planted=n_planted, overlap=overlap, seed=10_000 + i)
         )
         G = compute_crcm(rc)
-        matched, _ = match_components(G)
+        matched = match_components(G)
         used = [m for members, _ in matched for m in members]
         if len(set(used)) == K * n_C:
             bijections += 1

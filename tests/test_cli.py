@@ -1,6 +1,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from raicarn import io
 from raicarn.cli import main
@@ -195,6 +196,21 @@ class TestMixtureCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert report in err and "'members'" in err
+
+    @pytest.mark.parametrize("key, bad", [("members", "1:1"), ("p_value", "abc")])
+    def test_garbled_report_value_is_runtime_error(self, tmp_path, capsys, key, bad):
+        manifest, report = self._analysis(tmp_path)
+        with open(report) as f:
+            lines = f.read().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+        lines[first] = f"{key} = {bad}"
+        with open(report, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        rc = main(["mixture", "--report", report, "--manifest", manifest,
+                   "--seed", "0", "--out", str(tmp_path / "mix")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert report in err and f"bad value for {key!r}" in err
 
     def test_manifest_with_fewer_components_is_runtime_error(self, tmp_path):
         _manifest, report = self._analysis(tmp_path)

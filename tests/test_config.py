@@ -23,32 +23,27 @@ tol = 1e-5
 R = 200
 p_crit = 0.01
 
-[grouping]
-N = 23
-alpha_max = 0.05
-K = 50
-
 [mixture]
 max_iters = 400
 tol = 1e-8
-
-[pipeline]
-seed = 42
 """))
         assert cfg.ica == {"q": 8, "nonlinearity": "cubic", "max_iters": 300, "tol": 1e-5}
         assert cfg.null == {"R": 200, "p_crit": 0.01}
-        assert cfg.grouping == {"N": 23, "alpha_max": 0.05, "K": 50}
         assert cfg.mixture == {"max_iters": 400, "tol": 1e-8}
-        assert cfg.seed == 42
 
     def test_partial_config(self, tmp_path):
         cfg = load_pipeline_config(_write(tmp_path, "[null]\nR = 50\n"))
         assert cfg.null == {"R": 50}
-        assert cfg.ica == {} and cfg.seed is None
+        assert cfg.ica == {} and cfg.mixture == {}
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ValueError, match="unknown section"):
             load_pipeline_config(_write(tmp_path, "[plotting]\nstyle = dark\n"))
+
+    @pytest.mark.parametrize("text", ["[raicar]\n", "[grouping]\nN = 23\n", "[pipeline]\nseed = 42\n"])
+    def test_sections_no_subcommand_reads_are_unknown(self, tmp_path, text):
+        with pytest.raises(ValueError, match="unknown section"):
+            load_pipeline_config(_write(tmp_path, text))
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key"):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from raicarn.errors import DomainError
 from raicarn.grouping import (
-    expected_cooccurrence,
     max_group_size,
     pair_probability,
     plan_groups,
@@ -44,17 +43,6 @@ class TestPairProbability:
             pair_probability(10, 1)
         with pytest.raises(DomainError):
             pair_probability(10, 11)
-
-
-class TestExpectedCooccurrence:
-    def test_paper_setting(self):
-        assert expected_cooccurrence(50, 23, 5) == pytest.approx(50 * 1330 / 33649)
-
-    def test_zero_groups(self):
-        assert expected_cooccurrence(0, 23, 5) == 0.0
-
-    def test_one_full_group(self):
-        assert expected_cooccurrence(1, 8, 8) == pytest.approx(1.0)
 
 
 class TestMaxGroupSize:

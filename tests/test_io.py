@@ -10,6 +10,7 @@ from raicarn.errors import (
     IoFailureError,
     MaskLengthMismatchError,
     NonFiniteError,
+    RaggedRunsError,
     ShapeMismatchError,
 )
 
@@ -110,6 +111,13 @@ class TestManifest:
         io.write_matrix(np.ones((1, 99)), tmp_path / "mask.rnm")
         io.write_manifest(names, tmp_path / "manifest.txt", mask_path="mask.rnm")
         with pytest.raises(MaskLengthMismatchError):
+            io.load_runs(tmp_path / "manifest.txt")
+
+    def test_runs_of_different_shapes(self, tmp_path):
+        names = self._write_runs(tmp_path)
+        io.write_matrix(np.zeros((3, 100)), tmp_path / names[1])
+        io.write_manifest(names, tmp_path / "manifest.txt")
+        with pytest.raises(RaggedRunsError, match=names[1]):
             io.load_runs(tmp_path / "manifest.txt")
 
     def test_missing_run_file(self, tmp_path):

@@ -88,14 +88,14 @@ class TestMatchComponents:
         rng = np.random.default_rng(5)
         run = rng.standard_normal((4, 60))
         rc = RunCollection(np.stack([run, run, run]))
-        matched, _ = match_components(compute_crcm(rc))
+        matched = match_components(compute_crcm(rc))
         for members, _anchor in matched:
             comps = {c for _r, c in members}
             assert len(comps) == 1
 
     def test_bijection(self):
         rc = _random_rc(4, 5, 40, seed=6)
-        matched, _ = match_components(compute_crcm(rc))
+        matched = match_components(compute_crcm(rc))
         used = [tuple(m) for members, _ in matched for m in members]
         assert len(used) == len(set(used)) == 20
 
@@ -105,7 +105,7 @@ class TestMatchComponents:
 
         rc, _ = planted_runset(PlantSpec(n=60, n_C=2, K=3, n_planted=2, overlap=0.95, seed=7))
         G = compute_crcm(rc)
-        matched, _ = match_components(G)
+        matched = match_components(G)
         total = sum(
             normalized_reproducibility(similarity_matrix(G, members))
             for members, _ in matched
@@ -117,16 +117,10 @@ class TestMatchComponents:
         N = K * n_C
         zero = np.zeros((N, N))
         G = Crcm(K, n_C, zero)
-        matched, _ = match_components(G)
+        matched = match_components(G)
         assert len(matched) == n_C
         used = [tuple(m) for members, _ in matched for m in members]
         assert len(set(used)) == N
-
-    def test_trace_replays_to_same_members(self):
-        rc = _random_rc(3, 3, 50, seed=8)
-        G = compute_crcm(rc)
-        matched, trace = match_components(G)
-        assert trace.member_lists() == [members for members, _ in matched]
 
 
 class TestSimilarityAndReproducibility:
@@ -211,8 +205,8 @@ class TestProperties:
         scaled = rc.maps.copy()
         scaled[1, 0] *= scale
         rc2 = RunCollection(scaled)
-        m1, _ = match_and_score(rc)
-        m2, _ = match_and_score(rc2)
+        m1 = match_and_score(rc)
+        m2 = match_and_score(rc2)
         r1 = sorted(mc.reproducibility for mc in m1)
         r2 = sorted(mc.reproducibility for mc in m2)
         np.testing.assert_allclose(r1, r2, atol=1e-10)
@@ -223,8 +217,8 @@ class TestProperties:
         rc = _random_rc(3, 2, 30, seed=seed)
         perm = np.random.default_rng(seed + 1).permutation(3)
         rc2 = RunCollection(rc.maps[perm])
-        m1, _ = match_and_score(rc)
-        m2, _ = match_and_score(rc2)
+        m1 = match_and_score(rc)
+        m2 = match_and_score(rc2)
         r1 = sorted(mc.reproducibility for mc in m1)
         r2 = sorted(mc.reproducibility for mc in m2)
         np.testing.assert_allclose(r1, r2, atol=1e-10)
@@ -235,8 +229,8 @@ class TestProperties:
         rc = _random_rc(3, 3, 30, seed=seed)
         rng = np.random.default_rng(seed + 2)
         shuffled = np.stack([run[rng.permutation(3)] for run in rc.maps])
-        m1, _ = match_and_score(rc)
-        m2, _ = match_and_score(RunCollection(shuffled))
+        m1 = match_and_score(rc)
+        m2 = match_and_score(RunCollection(shuffled))
         r1 = sorted(mc.reproducibility for mc in m1)
         r2 = sorted(mc.reproducibility for mc in m2)
         np.testing.assert_allclose(r1, r2, atol=1e-10)

@@ -79,7 +79,7 @@ class TestPlantedRunset:
             maps = [rc.maps[r, c] for r, c in enumerate(per_run)]
             for m in maps[1:]:
                 np.testing.assert_array_equal(m, maps[0])
-        matched, _ = match_and_score(rc)
+        matched = match_and_score(rc)
         reps = sorted((mc.reproducibility for mc in matched), reverse=True)
         assert reps[0] == pytest.approx(1.0, abs=1e-12)
         assert reps[1] == pytest.approx(1.0, abs=1e-12)

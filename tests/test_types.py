@@ -90,6 +90,11 @@ class TestMatchedComponent:
         with pytest.raises(ValueError):
             MatchedComponent(members, (0, 0), 0.0)
 
+    def test_rejects_anchor_outside_members(self):
+        members = ((0, 0, 1), (1, 0, 1))
+        with pytest.raises(ValueError, match="anchor"):
+            MatchedComponent(members, (0, 1), 0.0)
+
     def test_valid(self):
         members = ((0, 1, 1), (1, 0, -1), (2, 2, 1))
         mc = MatchedComponent(members, (0, 1), 0.5)
