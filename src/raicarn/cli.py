@@ -95,7 +95,7 @@ def _build_parser():
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None, help="ignored: the fit is deterministic")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mixture)

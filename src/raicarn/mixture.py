@@ -25,13 +25,14 @@ _DOF_CADENCE = 10
 
 
 def normalize_empirical(values) -> np.ndarray:
-    """Map m values to standard normal quantiles at (rank - 0.5) / m,
-    with average ranks on ties; a constant vector maps to zeros."""
+    """Map the m values along the last axis to standard normal quantiles at
+    (rank - 0.5) / m, with average ranks on ties; a constant vector maps to
+    zeros."""
     v = np.asarray(values, dtype=np.float64)
-    m = v.shape[-1] if v.ndim == 1 else v.shape[0]
+    m = v.shape[-1]
     if m < 2:
         raise DegenerateDataError("need at least 2 values per location")
-    ranks = stats.rankdata(v, method="average", axis=0 if v.ndim > 1 else -1)
+    ranks = stats.rankdata(v, method="average", axis=-1)
     return stats.norm.ppf((ranks - 0.5) / m)
 
 
@@ -47,8 +48,7 @@ def normalize_maps(maps) -> np.ndarray:
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 2:
         raise DegenerateDataError("expected a K x n matrix")
-    # C order, so that group_tstat still sums over the maps row by row
-    return np.ascontiguousarray(normalize_empirical(maps.T).T)
+    return normalize_empirical(maps)
 
 
 def group_tstat(aligned_maps):
@@ -106,28 +106,42 @@ def _t_logpdf(x, loc, scale, dof):
     return const - 0.5 * (dof + 1.0) * np.log1p(z**2 / dof)
 
 
-def _gamma_logpdf(y, shape, rate):
-    """log density of Gamma(shape, rate) at y; -inf outside the support."""
-    out = np.full_like(y, -np.inf)
-    pos = y > 0
-    yp = y[pos]
-    out[pos] = shape * np.log(rate) - special.gammaln(shape) + (shape - 1) * np.log(yp) - rate * yp
-    return out
+def _tail_supports(x, shift_pos, shift_neg):
+    """(mask, y, log y) on the support y > 0 of each Gamma tail, with
+    y = x - shift_pos and y = -x - shift_neg; the shifts are fixed, so
+    these are constants of a fit."""
+    supports = []
+    for y in (x - shift_pos, -x - shift_neg):
+        pos = y > 0
+        supports.append((pos, y[pos], np.log(y[pos])))
+    return supports
 
 
-def _class_logpdfs(x, t_params, gamma_pos, gamma_neg):
-    lp = np.empty((x.shape[0], 3))
+def _class_logpdfs(x, t_params, gammas, supports):
+    """Class log densities, columns (t, Gamma+, Gamma-); -inf off a Gamma's support."""
+    lp = np.full((x.shape[0], 3), -np.inf)
     lp[:, 0] = _t_logpdf(x, *t_params)
-    lp[:, 1] = _gamma_logpdf(x - gamma_pos[2], gamma_pos[0], gamma_pos[1])
-    lp[:, 2] = _gamma_logpdf(-x - gamma_neg[2], gamma_neg[0], gamma_neg[1])
+    for k, ((shape, rate, _), (pos, y, logy)) in enumerate(zip(gammas, supports), start=1):
+        lp[pos, k] = shape * np.log(rate) - special.gammaln(shape) + (shape - 1) * logy - rate * y
     return lp
 
 
-def _weighted_gamma_mle(y, w):
+def _posterior(lp, weights):
+    """E-step: (log-likelihood, class posteriors) of class log densities."""
+    with np.errstate(divide="ignore"):
+        joint = lp + np.log(weights)[None, :]
+    mx = joint.max(axis=1)
+    resp = np.exp(joint - mx[:, None])
+    dens = resp.sum(axis=1)
+    resp /= dens[:, None]
+    return float((mx + np.log(dens)).sum()), resp
+
+
+def _weighted_gamma_mle(y, logy, w):
     """Weighted maximum-likelihood (shape, rate) of a Gamma on y > 0."""
     wsum = w.sum()
     ybar = float(np.dot(w, y) / wsum)
-    logbar = float(np.dot(w, np.log(y)) / wsum)
+    logbar = float(np.dot(w, logy) / wsum)
     s = np.log(ybar) - logbar
     if s <= 0:  # numerically degenerate (all y nearly equal)
         s = 1e-12
@@ -180,53 +194,42 @@ def fit_mixture(t_map, max_iters: int = 500, tol: float = 1e-9) -> MixtureFit:
     dof = _select_dof(x, loc, scale)
     t_params = (loc, scale, dof)
 
-    shift_pos = float(np.quantile(x, _SHIFT_QUANTILE))
-    shift_neg = float(np.quantile(-x, _SHIFT_QUANTILE))
-    gamma_pos = _init_gamma(x - shift_pos)
-    gamma_neg = _init_gamma(-x - shift_neg)
-    gamma_pos = (*gamma_pos, shift_pos)
-    gamma_neg = (*gamma_neg, shift_neg)
+    shifts = (float(np.quantile(x, _SHIFT_QUANTILE)), float(np.quantile(-x, _SHIFT_QUANTILE)))
+    supports = _tail_supports(x, *shifts)
+    gammas = [(*_init_gamma(y), shift) for (_, y, _), shift in zip(supports, shifts)]
     weights = np.array([0.9, 0.05, 0.05])
 
     trace = []
     converged = False
     for it in range(max_iters):
-        lp = _class_logpdfs(x, t_params, gamma_pos, gamma_neg)
-        with np.errstate(divide="ignore"):
-            joint = lp + np.log(weights)[None, :]
-        mx = joint.max(axis=1)
-        dens = np.exp(joint - mx[:, None]).sum(axis=1)
-        ll = float((mx + np.log(dens)).sum())
+        ll, resp = _posterior(_class_logpdfs(x, t_params, gammas, supports), weights)
         trace.append(ll)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
-        resp = np.exp(joint - mx[:, None]) / dens[:, None]
 
         weights = resp.mean(axis=0)
         if weights[0] > _WEIGHT_FREEZE:
             t_params = _update_t(x, resp[:, 0], t_params, refit_dof=it % _DOF_CADENCE == 0)
-        if weights[1] > _WEIGHT_FREEZE:
-            gamma_pos = _update_gamma(x, resp[:, 1], gamma_pos)
-        if weights[2] > _WEIGHT_FREEZE:
-            gamma_neg = _update_gamma(-x, resp[:, 2], gamma_neg)
+        for k in (1, 2):
+            if weights[k] > _WEIGHT_FREEZE:
+                gammas[k - 1] = _update_gamma(supports[k - 1], resp[:, k], gammas[k - 1])
 
     return MixtureFit(
         weights=tuple(weights),
         t_params=t_params,
-        gamma_pos=gamma_pos,
-        gamma_neg=gamma_neg,
+        gamma_pos=gammas[0],
+        gamma_neg=gammas[1],
         loglik_trace=np.array(trace),
         converged=converged,
     )
 
 
 def _init_gamma(y):
-    """Moment-matched (shape, rate) for the positive part of y."""
-    yp = y[y > 0]
-    if yp.size < 2:
+    """Moment-matched (shape, rate) for the values y > 0 of a tail."""
+    if y.size < 2:
         return 2.0, 2.0
-    m, v = float(yp.mean()), float(yp.var())
+    m, v = float(y.mean()), float(y.var())
     v = max(v, 1e-12)
     return max(m * m / v, 1e-3), max(m / v, 1e-6)
 
@@ -248,28 +251,25 @@ def _update_t(x, r, t_params, refit_dof=False):
     return (loc_new, scale_new, dof_new)
 
 
-def _update_gamma(x, r, params):
+def _update_gamma(support, r, params):
     """Weighted Gamma shape/rate update with the shift held fixed."""
-    shape, rate, shift = params
-    y = x - shift
-    sup = y > 0
-    if r[sup].sum() <= 1e-12:
+    pos, y, logy = support
+    w = r[pos]
+    if w.sum() <= 1e-12:
         return params
-    y = np.maximum(y[sup], 1e-300)
-    shape_new, rate_new = _weighted_gamma_mle(y, r[sup])
-    return (shape_new, rate_new, shift)
+    return (*_weighted_gamma_mle(y, logy, w), params[2])
+
+
+def _fit_logpdfs(fit: MixtureFit, x):
+    supports = _tail_supports(x, fit.gamma_pos[2], fit.gamma_neg[2])
+    return _class_logpdfs(x, fit.t_params, (fit.gamma_pos, fit.gamma_neg), supports)
 
 
 def responsibilities(fit: MixtureFit, t_map) -> np.ndarray:
     """Posterior class probabilities, one row per location, columns
     (t, positive, negative); rows sum to 1."""
     x = np.asarray(t_map, dtype=np.float64).ravel()
-    lp = _class_logpdfs(x, fit.t_params, fit.gamma_pos, fit.gamma_neg)
-    with np.errstate(divide="ignore"):
-        joint = lp + np.log(np.asarray(fit.weights))[None, :]
-    mx = joint.max(axis=1)
-    e = np.exp(joint - mx[:, None])
-    return e / e.sum(axis=1, keepdims=True)
+    return _posterior(_fit_logpdfs(fit, x), np.asarray(fit.weights))[1]
 
 
 def classify_voxels(fit: MixtureFit, t_map) -> np.ndarray:
@@ -289,6 +289,5 @@ def histogram_data(fit: MixtureFit, t_map, bins: int = 100) -> np.ndarray:
     x = np.asarray(t_map, dtype=np.float64).ravel()
     counts, edges = np.histogram(x, bins=bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    lp = _class_logpdfs(centers, fit.t_params, fit.gamma_pos, fit.gamma_neg)
-    dens = np.exp(lp) * np.asarray(fit.weights)[None, :]
+    dens = np.exp(_fit_logpdfs(fit, centers)) * np.asarray(fit.weights)[None, :]
     return np.vstack([edges[:-1], edges[1:], counts.astype(np.float64), dens.T])

@@ -168,6 +168,16 @@ class TestMixtureCommand:
         labels = io.read_matrix(out / "comp01_labels.rnm")
         assert set(np.unique(labels)) <= {-1.0, 0.0, 1.0}
 
+    def test_seed_is_optional_and_ignored(self, tmp_path):
+        manifest, report = self._analysis(tmp_path)
+        args = ["mixture", "--report", report, "--manifest", manifest]
+        assert main(args + ["--seed", "5", "--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names and names == sorted(os.listdir(tmp_path / "b"))
+        for name in names:
+            assert _same_bytes(tmp_path / "a" / name, tmp_path / "b" / name)
+
     def test_identical_maps_degenerate_to_null_labels(self, tmp_path):
         manifest, report = self._analysis(tmp_path, overlap=1.0, seed=22)
         out = tmp_path / "mix"

@@ -18,6 +18,7 @@ from raicarn.mixture import (
     normalize_maps,
     responsibilities,
 )
+from raicarn.synth import PlantSpec, planted_runset
 
 
 class TestNormalizeEmpirical:
@@ -140,6 +141,16 @@ class TestFitMixture:
         b = fit_mixture(x)
         assert a.weights == b.weights and a.t_params == b.t_params
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="Gamma- collapses at w_neg ~ 6e-4 and the trace drops by 4")
+    def test_planted_set_trace_stays_monotone(self):
+        # paper-scale planted set whose negative tail shape runs away
+        # (19 -> 1.4e14 over iterations 214-218); MixtureFit rejects the trace
+        rc, labels = planted_runset(PlantSpec(n=2000, n_C=8, K=20, n_planted=3, overlap=0.9, seed=35))
+        t, _ = group_tstat(normalize_maps(rc.maps[np.arange(20), labels[2]]))
+        fit = fit_mixture(t)
+        assert (np.diff(fit.loglik_trace) >= -1e-8).all()
+
     def test_too_few_values(self):
         with pytest.raises(DegenerateDataError):
             fit_mixture(np.zeros(50))
@@ -187,3 +198,20 @@ class TestClassification:
         assert H.shape == (6, 40)
         assert H[2].sum() == pytest.approx(x.size)
         assert (H[1] > H[0]).all()  # right edges exceed left edges
+
+    def test_tail_responsibilities_vanish_off_support(self, fitted):
+        fit, x = fitted
+        resp = responsibilities(fit, x)
+        off_pos, off_neg = x <= fit.gamma_pos[2], -x <= fit.gamma_neg[2]
+        assert off_pos.any() and off_neg.any()
+        assert (resp[off_pos, 1] == 0.0).all()
+        assert (resp[off_neg, 2] == 0.0).all()
+
+    def test_histogram_tail_densities_follow_support(self, fitted):
+        fit, x = fitted
+        H = histogram_data(fit, x, bins=40)
+        centers = 0.5 * (H[0] + H[1])
+        for row, on in ((H[4], centers > fit.gamma_pos[2]), (H[5], -centers > fit.gamma_neg[2])):
+            assert on.any() and not on.all()
+            assert (row[~on] == 0.0).all()
+            assert (row[on] > 0.0).all()
