@@ -1,20 +1,19 @@
 """Permutation null model for reproducibility and p-value assignment.
 
 Null replicates re-partition the K*n_C component labels into K pseudo-runs
-by permuting the stored signed correlation matrix, re-run the greedy
-matching, score the sets with the same functions as the observed sets,
-and pool the resulting reproducibility values. Each replicate
-draws its RNG from (seed, replicate_index) so replicates can run
-concurrently without changing any output bit.
+by a random permutation, re-run the greedy matching on the stored signed
+correlation matrix under that relabelling, score the sets with the same
+functions as the observed sets, and pool the resulting reproducibility
+values. Each replicate draws its RNG from (seed, replicate_index), so a
+replicate's values do not depend on R or on which replicates ran before.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPermutationError
 from .raicar import (
+    _check_permutation,
     compute_crcm,
     match_and_score,
     match_components,
@@ -40,32 +39,26 @@ class NullConfig:
 def permute_crcm(G: Crcm, g) -> Crcm:
     """Relabel components by permutation g, applied to rows and columns of
     the signed correlation matrix; the new partition into runs follows
-    from the flat indices."""
-    g = np.asarray(g)
-    N = G.K * G.n_C
-    if g.shape != (N,) or not np.array_equal(np.sort(g), np.arange(N)):
-        raise InvalidPermutationError(f"not a permutation of 0..{N - 1}")
+    from the flat indices. The null matches on the relabelling instead
+    (``match_components(G, g)``); this is its reference."""
+    g = _check_permutation(g, G.K * G.n_C)
     return Crcm(G.K, G.n_C, G.signed[np.ix_(g, g)])
 
 
 def _replicate_values(G: Crcm, seed, r) -> np.ndarray:
-    """Reproducibility values of one null replicate, scored exactly as the
-    observed sets are."""
+    """Reproducibility values of one null replicate: the observed matching
+    and scoring calls on a random relabelling of G."""
     rng = np.random.default_rng([seed, r])
-    Gp = permute_crcm(G, rng.permutation(G.K * G.n_C))
-    matched = match_components(Gp)
-    return normalized_reproducibility(similarity_matrix(Gp, [m for m, _ in matched]))
+    matched = match_components(G, rng.permutation(G.K * G.n_C))
+    return normalized_reproducibility(similarity_matrix(G, [m for m, _ in matched]))
 
 
-def null_distribution(rc: RunCollection, G: Crcm, cfg: NullConfig, threads: int = 1) -> np.ndarray:
+def null_distribution(rc: RunCollection, G: Crcm, cfg: NullConfig) -> np.ndarray:
     """Pooled vector of R * n_C reproducibility values under the
-    no-reproducibility null; deterministic given cfg.seed and cfg.R."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(lambda r: _replicate_values(G, cfg.seed, r), range(cfg.R)))
-    else:
-        chunks = [_replicate_values(G, cfg.seed, r) for r in range(cfg.R)]
-    return np.concatenate(chunks)
+    no-reproducibility null; deterministic given cfg.seed and cfg.R.
+    ``rc`` is not read (pass None); it stays in first position because
+    the benchmark's tracer reads ``(G, cfg)`` by position."""
+    return np.concatenate([_replicate_values(G, cfg.seed, r) for r in range(cfg.R)])
 
 
 def p_values(observed, null_pool) -> np.ndarray:
@@ -84,13 +77,14 @@ def select_significant(p, p_crit: float) -> np.ndarray:
     return np.asarray(p, dtype=np.float64) < p_crit
 
 
-def run_raicar_n(rc: RunCollection, cfg: NullConfig, threads: int = 1) -> ReproducibilityReport:
+def run_raicar_n(rc: RunCollection, cfg: NullConfig) -> ReproducibilityReport:
     """Full pipeline: correlation matrix, greedy matching, reproducibility,
     permutation null, p-values, significance; sorted by descending
     reproducibility."""
     G = compute_crcm(rc)
-    matched = sorted(match_and_score(rc, G), key=lambda mc: -mc.reproducibility)
-    pool = null_distribution(rc, G, cfg, threads=threads)
+    del rc  # only the CRCM is read from here on: let the maps go before the null
+    matched = sorted(match_and_score(G), key=lambda mc: -mc.reproducibility)
+    pool = null_distribution(None, G, cfg)
     obs = np.array([mc.reproducibility for mc in matched])
     p = p_values(obs, pool)
     sig = select_significant(p, cfg.p_crit)

@@ -4,11 +4,13 @@ Builds the block matrix of signed spatial correlations between all
 components of all runs once, greedily matches one component per run into
 aligned sets on its absolute values, and scores each set by the mean of
 its pairwise absolute correlations read from that same matrix. Observed
-sets and permutation-null sets go through the same scoring functions.
+sets and permutation-null sets (relabellings of that matrix) go through
+the same matching and scoring functions.
 """
 
 import numpy as np
 
+from .errors import InvalidPermutationError
 from .types import Crcm, MatchedComponent, RunCollection
 
 
@@ -26,8 +28,18 @@ def compute_crcm(rc: RunCollection) -> Crcm:
     return Crcm(rc.K, rc.n_C, C)
 
 
-def match_components(G: Crcm):
-    """Greedy across-run matching on the zeroed correlation matrix.
+def _check_permutation(g, N: int) -> np.ndarray:
+    """g as an integer array, if it is a permutation of 0..N-1."""
+    g = np.asarray(g)
+    if g.shape != (N,) or g.dtype.kind not in "iu" or (np.sort(g) != np.arange(N)).any():
+        raise InvalidPermutationError(f"not a permutation of 0..{N - 1}")
+    return g
+
+
+def match_components(G: Crcm, order=None):
+    """Greedy across-run matching on |G| with the within-run blocks zeroed,
+    after relabelling: flat index f holds G's component ``order[f]``
+    (identity if None), so a null replicate is this call on a permutation.
 
     Each component slot seeds a matched set at the global maximum (the
     anchor pair), then takes from every other run the unused component
@@ -35,14 +47,17 @@ def match_components(G: Crcm):
     ties, and zeroes the rows and columns of all members. A run with no
     positive correlation to either takes its lowest-index unused
     component. Returns one (members, anchor) pair per slot, members being
-    (run, component) pairs in run order; across all sets every
-    (run, component) pair is used exactly once.
+    G's (run, component) pairs in (pseudo-)run order; across all sets
+    every (run, component) pair is used exactly once.
     """
     K, n_C = G.K, G.n_C
     N = K * n_C
-    W = G.matrix
-    free = np.ones((K, n_C), dtype=bool)
+    g = np.arange(N) if order is None else _check_permutation(order, N)
     runs = np.arange(K)
+    W = G.signed[np.ix_(g, g)]
+    np.abs(W, out=W)
+    W.reshape(K, n_C, K, n_C)[runs, :, runs, :] = 0.0
+    free = np.ones((K, n_C), dtype=bool)
     matched = []
     for _ in range(n_C):
         # W is symmetric, so the first maximum in row-major order has
@@ -65,7 +80,8 @@ def match_components(G: Crcm):
         W[flat, :] = 0.0
         W[:, flat] = 0.0
         free[runs, pick] = False
-        matched.append((list(enumerate(pick.tolist())), (l, i)))
+        members = [divmod(f, n_C) for f in g[flat].tolist()]
+        matched.append((members, members[l]))
     return matched
 
 
@@ -102,12 +118,10 @@ def align_signs(G: Crcm, members, anchor):
     return [(r, c, -1 if a[r * G.n_C + c] < 0 else 1) for r, c, *_ in members]
 
 
-def match_and_score(rc: RunCollection, G: Crcm = None):
+def match_and_score(G: Crcm):
     """Full original-RAICAR pass: match, sign-align, and score every
     component slot from the CRCM. Returns MatchedComponents in matching
     order."""
-    if G is None:
-        G = compute_crcm(rc)
     matched = match_components(G)
     reps = normalized_reproducibility(similarity_matrix(G, [m for m, _ in matched]))
     return [

@@ -119,22 +119,6 @@ class Crcm:
         """Absolute correlations, within-run blocks intact (a new array)."""
         return np.abs(self.signed)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Absolute correlations with the within-run diagonal blocks zeroed:
-        the greedy matcher's working copy (a new, writable array)."""
-        m = np.abs(self.signed)
-        for r in range(self.K):
-            sl = slice(r * self.n_C, (r + 1) * self.n_C)
-            m[sl, sl] = 0.0
-        return m
-
-    def block(self, l: int, m: int) -> np.ndarray:
-        """The n_C x n_C block of ``matrix`` between runs l and m."""
-        i = slice(l * self.n_C, (l + 1) * self.n_C)
-        j = slice(m * self.n_C, (m + 1) * self.n_C)
-        return self.matrix[i, j]
-
 
 @dataclass(frozen=True)
 class MatchedComponent:

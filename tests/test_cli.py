@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ def _simulate(out, seed=7, K=6, nc=3, planted=2, overlap=0.95, n=800):
 
 
 def _same_bytes(a, b):
-    return open(a, "rb").read() == open(b, "rb").read()
+    return Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestSimulate:
@@ -122,6 +123,30 @@ class TestRaicarn:
             assert main(["raicarn", manifest, "--R", "20", "--seed", "5", "--out", str(tmp_path / d)]) == 0
         assert _same_bytes(tmp_path / "a" / "report.txt", tmp_path / "b" / "report.txt")
         assert _same_bytes(tmp_path / "a" / "report.txt.null.rnm", tmp_path / "b" / "report.txt.null.rnm")
+
+    def test_maps_are_released_before_the_null(self, tmp_path, monkeypatch):
+        # the null reads only the CRCM, so the loaded runs must not stay
+        # resident beside its per-replicate working matrices
+        import weakref
+
+        from raicarn import null
+
+        manifest = _simulate(tmp_path / "sim", seed=16)
+        refs, alive = [], []
+        compute_crcm, null_distribution = null.compute_crcm, null.null_distribution
+
+        def spy_crcm(rc):
+            refs.append(weakref.ref(rc))
+            return compute_crcm(rc)
+
+        def spy_null(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return null_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(null, "compute_crcm", spy_crcm)
+        monkeypatch.setattr(null, "null_distribution", spy_null)
+        assert main(["raicarn", manifest, "--R", "2", "--seed", "0", "--out", str(tmp_path / "o")]) == 0
+        assert alive == [False]
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         manifest = _simulate(tmp_path / "sim", seed=15)

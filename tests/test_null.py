@@ -15,7 +15,13 @@ from raicarn.null import (
     run_raicar_n,
     select_significant,
 )
-from raicarn.raicar import compute_crcm, match_components
+from raicarn.raicar import (
+    compute_crcm,
+    match_and_score,
+    match_components,
+    normalized_reproducibility,
+    similarity_matrix,
+)
 from raicarn.synth import PlantSpec, planted_runset
 from raicarn.types import Crcm, RunCollection
 
@@ -23,6 +29,13 @@ from raicarn.types import Crcm, RunCollection
 def _random_rc(K, n_C, n, seed):
     rng = np.random.default_rng(seed)
     return RunCollection(rng.standard_normal((K, n_C, n)))
+
+
+def _cross_run(G):
+    """Absolute correlations between components of different runs, in
+    row-major order."""
+    runs = np.repeat(np.arange(G.K), G.n_C)
+    return G.full[runs[:, None] != runs]
 
 
 def _relabeled(rc, g):
@@ -35,33 +48,80 @@ class TestPermuteCrcm:
     def test_identity_keeps_zero_blocks(self):
         G = compute_crcm(_random_rc(3, 2, 40, seed=0))
         Gp = permute_crcm(G, np.arange(6))
-        np.testing.assert_array_equal(Gp.matrix, G.matrix)
-        for r in range(3):
-            assert not Gp.block(r, r).any()
+        np.testing.assert_array_equal(Gp.signed, G.signed)
+        # the matcher zeroes the same run blocks with or without a relabelling
+        assert match_components(Gp) == match_components(G, np.arange(6))
 
     def test_within_run_swap_preserves_entry_multiset(self):
         G = compute_crcm(_random_rc(3, 2, 40, seed=1))
         g = np.arange(6)
         g[[0, 1]] = g[[1, 0]]  # swap two components of run 0
         Gp = permute_crcm(G, g)
-        assert Counter(np.round(G.matrix.ravel(), 12)) == Counter(
-            np.round(Gp.matrix.ravel(), 12)
-        )
+        assert Counter(np.round(_cross_run(G), 12)) == Counter(np.round(_cross_run(Gp), 12))
 
     def test_cross_run_move_exposes_within_run_correlation(self):
         # oracle: recompute the correlation matrix on the relabeled maps
         rc = _random_rc(2, 2, 50, seed=2)
         g = np.array([0, 2, 1, 3])  # maps (0,1) and (1,0) change runs
-        Gp = permute_crcm(compute_crcm(rc), g)
+        G = compute_crcm(rc)
+        Gp = permute_crcm(G, g)
         G_direct = compute_crcm(_relabeled(rc, g))
-        np.testing.assert_allclose(Gp.matrix, G_direct.matrix, atol=1e-12)
-        # the formerly-zeroed within-run pair (0,0)-(0,1) is now visible
-        assert Gp.matrix[0, 2] > 0.0 or G_direct.matrix[0, 2] == 0.0
+        np.testing.assert_allclose(Gp.signed, G_direct.signed, atol=1e-12)
+        # the formerly within-run pair (0,0)-(0,1) is now across runs
+        assert Gp.full[0, 2] == G.full[0, 1]
+        assert G.full[0, 1] in _cross_run(Gp) and G.full[0, 1] not in _cross_run(G)
 
     def test_invalid_permutation(self):
+        # permute_crcm and the relabelled matcher share one check
         G = compute_crcm(_random_rc(2, 2, 30, seed=3))
-        with pytest.raises(InvalidPermutationError):
-            permute_crcm(G, [0, 0, 1, 2])
+        for bad in ([0, 0, 1, 2], [0, 1, 2], [0.0, 1.0, 2.0, 3.0], [0, 1, 2, 4]):
+            for relabel in (permute_crcm, match_components):
+                with pytest.raises(InvalidPermutationError):
+                    relabel(G, bad)
+
+
+def _through(g, n_C, pairs):
+    """(run, component) pairs of a relabelled matrix as G's own pairs."""
+    return [divmod(int(g[r * n_C + c]), n_C) for r, c in pairs]
+
+
+def _tied_or_random(kind, K, n_C, rng):
+    N = K * n_C
+    U = rng.uniform(-1, 1, (N, N))
+    if kind == "quantised":
+        U = np.round(U * 4) / 4
+    elif kind == "constant":
+        U = np.full((N, N), U[0, 0])
+    elif kind == "zero":
+        U = np.zeros((N, N))
+    S = np.triu(U)
+    return Crcm(K, n_C, S + np.triu(S, 1).T)
+
+
+class TestRelabelledMatching:
+    """A null replicate is match_components(G, g); the reference is the
+    matcher on the permuted matrix permute_crcm(G, g)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 7),
+        st.integers(1, 6),
+        st.sampled_from(["random", "quantised", "constant", "zero"]),
+    )
+    def test_relabelled_matcher_equals_permuted_matrix(self, seed, K, n_C, kind):
+        rng = np.random.default_rng(seed)
+        G = _tied_or_random(kind, K, n_C, rng)
+        g = rng.permutation(K * n_C)
+        Gp = permute_crcm(G, g)
+        ref = match_components(Gp)
+        got = match_components(G, g)
+        assert got == [(_through(g, n_C, m), _through(g, n_C, [a])[0]) for m, a in ref]
+        assert all(type(x) is int for m, a in got for pair in m + [a] for x in pair)
+        # replicate values: bit for bit the permuted-Crcm formula
+        ref_vals = normalized_reproducibility(similarity_matrix(Gp, [m for m, _ in ref]))
+        got_vals = normalized_reproducibility(similarity_matrix(G, [m for m, _ in got]))
+        assert got_vals.tobytes() == ref_vals.tobytes()
 
 
 class TestNullDistribution:
@@ -72,15 +132,6 @@ class TestNullDistribution:
         a = null_distribution(rc, G, cfg)
         b = null_distribution(rc, G, cfg)
         assert a.tobytes() == b.tobytes()
-
-    def test_threaded_matches_serial(self):
-        rc = _random_rc(3, 3, 60, seed=5)
-        G = compute_crcm(rc)
-        cfg = NullConfig(R=8, seed=1)
-        assert (
-            null_distribution(rc, G, cfg, threads=4).tobytes()
-            == null_distribution(rc, G, cfg).tobytes()
-        )
 
     def test_pool_length(self):
         rc = _random_rc(2, 4, 50, seed=6)
@@ -94,9 +145,7 @@ class TestNullDistribution:
         # exchangeable up to matching bias
         rc = _random_rc(10, 10, 1000, seed=7)
         G = compute_crcm(rc)
-        from raicarn.raicar import match_and_score
-
-        matched = match_and_score(rc, G)
+        matched = match_and_score(G)
         obs_mean = np.mean([mc.reproducibility for mc in matched])
         pool = null_distribution(rc, G, NullConfig(R=50, seed=0))
         assert abs(pool.mean() - obs_mean) < 0.02
@@ -104,14 +153,10 @@ class TestNullDistribution:
     def test_identity_replicate_scores_like_observed(self):
         # the null and the observed pass share one scoring path, so the
         # identity relabeling reproduces the observed values bit for bit
-        from raicarn.raicar import match_and_score, normalized_reproducibility, similarity_matrix
-
-        rc = _random_rc(5, 4, 80, seed=13)
-        G = compute_crcm(rc)
-        Gp = permute_crcm(G, np.arange(20))
-        matched = match_components(Gp)
-        null_vals = normalized_reproducibility(similarity_matrix(Gp, [m for m, _ in matched]))
-        observed = match_and_score(rc, G)
+        G = compute_crcm(_random_rc(5, 4, 80, seed=13))
+        matched = match_components(G, np.arange(20))
+        null_vals = normalized_reproducibility(similarity_matrix(G, [m for m, _ in matched]))
+        observed = match_and_score(G)
         assert list(null_vals) == [mc.reproducibility for mc in observed]
 
     def test_pool_digest_is_pinned(self):
@@ -217,12 +262,11 @@ class TestProperties:
         rc = _random_rc(3, 2, 30, seed=seed)
         G = compute_crcm(rc)
         g = np.random.default_rng(seed + 1).permutation(6)
-        Gp = permute_crcm(G, g)
         G_direct = compute_crcm(_relabeled(rc, g))
-        np.testing.assert_allclose(Gp.matrix, G_direct.matrix, atol=1e-10)
-        m1 = match_components(Gp)
-        m2 = match_components(G_direct)
-        assert [members for members, _ in m1] == [members for members, _ in m2]
+        np.testing.assert_allclose(permute_crcm(G, g).signed, G_direct.signed, atol=1e-10)
+        # G_direct's pseudo-run labels, mapped through g, are G's own
+        m_direct = [_through(g, 2, members) for members, _ in match_components(G_direct)]
+        assert [members for members, _ in match_components(G, g)] == m_direct
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))

@@ -33,14 +33,13 @@ class TestComputeCrcm:
         rng = np.random.default_rng(0)
         run = rng.standard_normal((3, 50))
         G = compute_crcm(RunCollection(np.stack([run, run])))
-        block = G.block(0, 1)
-        np.testing.assert_allclose(np.diag(block), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(G.signed[:3, 3:]), 1.0, atol=1e-12)
 
     def test_negation_is_invisible(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(50)
         rc = RunCollection(np.array([[x], [-x]]))
-        assert compute_crcm(rc).block(0, 1)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert compute_crcm(rc).full[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_hand_computed_correlations(self):
         # oracle: direct covariance-formula evaluation
@@ -48,19 +47,14 @@ class TestComputeCrcm:
         G = compute_crcm(rc)
         for i, j in itertools.product(range(2), range(2)):
             expected = _hand_corr(rc.maps[0, i], rc.maps[1, j])
-            assert G.block(0, 1)[i, j] == pytest.approx(expected, abs=1e-12)
-
-    def test_diagonal_blocks_zero(self):
-        G = compute_crcm(_random_rc(3, 4, 30, seed=3))
-        for r in range(3):
-            assert not G.block(r, r).any()
+            assert G.full[i, 2 + j] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_variance_map_correlates_zero(self):
         rng = np.random.default_rng(4)
         maps = rng.standard_normal((2, 2, 30))
         maps[0, 0] = 5.0  # constant map
         G = compute_crcm(RunCollection(maps))
-        assert not G.block(0, 1)[0, :].any()
+        assert not G.signed[0, 2:].any()
 
 
 def _exhaustive_best(rc):
@@ -111,6 +105,21 @@ class TestMatchComponents:
             for members, _ in matched
         )
         assert total == pytest.approx(_exhaustive_best(rc), abs=1e-9)
+
+    def test_within_run_peak_is_never_an_anchor_pair(self):
+        # a within-run correlation above every cross-run one is zeroed
+        # before matching, in G's own runs and in a relabelling's pseudo-runs
+        K, n_C = 3, 2
+        N = K * n_C
+        rng = np.random.default_rng(16)
+        for g in (np.arange(N), np.array([4, 1, 5, 0, 3, 2])):
+            U = np.triu(rng.uniform(0.0, 0.5, (N, N)), 1)
+            S = U + U.T
+            S[g[0], g[1]] = S[g[1], g[0]] = 0.95  # both in (pseudo-)run 0
+            S[g[2], g[5]] = S[g[5], g[2]] = 0.6  # the best cross-run pair
+            members, anchor = match_components(Crcm(K, n_C, S), g)[0]
+            assert anchor == divmod(int(g[2]), n_C)
+            assert divmod(int(g[5]), n_C) in members
 
     def test_all_zero_matrix_falls_back_to_index_order(self):
         K, n_C = 3, 2
@@ -205,8 +214,8 @@ class TestProperties:
         scaled = rc.maps.copy()
         scaled[1, 0] *= scale
         rc2 = RunCollection(scaled)
-        m1 = match_and_score(rc)
-        m2 = match_and_score(rc2)
+        m1 = match_and_score(compute_crcm(rc))
+        m2 = match_and_score(compute_crcm(rc2))
         r1 = sorted(mc.reproducibility for mc in m1)
         r2 = sorted(mc.reproducibility for mc in m2)
         np.testing.assert_allclose(r1, r2, atol=1e-10)
@@ -217,8 +226,8 @@ class TestProperties:
         rc = _random_rc(3, 2, 30, seed=seed)
         perm = np.random.default_rng(seed + 1).permutation(3)
         rc2 = RunCollection(rc.maps[perm])
-        m1 = match_and_score(rc)
-        m2 = match_and_score(rc2)
+        m1 = match_and_score(compute_crcm(rc))
+        m2 = match_and_score(compute_crcm(rc2))
         r1 = sorted(mc.reproducibility for mc in m1)
         r2 = sorted(mc.reproducibility for mc in m2)
         np.testing.assert_allclose(r1, r2, atol=1e-10)
@@ -229,8 +238,8 @@ class TestProperties:
         rc = _random_rc(3, 3, 30, seed=seed)
         rng = np.random.default_rng(seed + 2)
         shuffled = np.stack([run[rng.permutation(3)] for run in rc.maps])
-        m1 = match_and_score(rc)
-        m2 = match_and_score(RunCollection(shuffled))
+        m1 = match_and_score(compute_crcm(rc))
+        m2 = match_and_score(compute_crcm(RunCollection(shuffled)))
         r1 = sorted(mc.reproducibility for mc in m1)
         r2 = sorted(mc.reproducibility for mc in m2)
         np.testing.assert_allclose(r1, r2, atol=1e-10)

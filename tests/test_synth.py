@@ -79,7 +79,7 @@ class TestPlantedRunset:
             maps = [rc.maps[r, c] for r, c in enumerate(per_run)]
             for m in maps[1:]:
                 np.testing.assert_array_equal(m, maps[0])
-        matched = match_and_score(rc)
+        matched = match_and_score(compute_crcm(rc))
         reps = sorted((mc.reproducibility for mc in matched), reverse=True)
         assert reps[0] == pytest.approx(1.0, abs=1e-12)
         assert reps[1] == pytest.approx(1.0, abs=1e-12)
@@ -87,8 +87,9 @@ class TestPlantedRunset:
     def test_no_planted_is_pure_noise(self):
         rc, labels = planted_runset(PlantSpec(n=300, n_C=3, K=4, n_planted=0, seed=11))
         assert labels == []
-        G = compute_crcm(rc)
-        assert G.matrix.max() < 0.5  # nothing reproducible among fillers
+        runs = np.repeat(np.arange(4), 3)
+        cross = compute_crcm(rc).full[runs[:, None] != runs]
+        assert cross.max() < 0.5  # nothing reproducible among fillers
 
     def test_pairwise_overlap_calibration(self):
         # oracle: copies share only the sqrt(rho)-weighted base, so their

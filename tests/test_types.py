@@ -56,12 +56,6 @@ class TestCrcm:
         with pytest.raises(ValueError):
             Crcm(2, 2, m)
 
-    def test_block_view(self):
-        m = np.zeros((4, 4))
-        m[0, 2] = m[2, 0] = 0.7
-        G = Crcm(2, 2, m)
-        assert G.block(0, 1)[0, 0] == 0.7
-
     def test_rejects_out_of_range(self):
         m = np.eye(4)
         m[0, 2] = m[2, 0] = -1.5
@@ -74,9 +68,7 @@ class TestCrcm:
         m[0, 2] = m[2, 0] = -0.7  # across runs
         G = Crcm(2, 2, m)
         np.testing.assert_array_equal(G.full, np.abs(m))
-        expected = np.abs(m)
-        expected[:2, :2] = expected[2:, 2:] = 0.0
-        np.testing.assert_array_equal(G.matrix, expected)
+        np.testing.assert_array_equal(G.signed, m)
 
 
 class TestMatchedComponent:
