@@ -41,24 +41,28 @@ def write_matrix(matrix, path) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix file; error on bad magic or any size mismatch."""
+    """Read a matrix file; error on bad magic or any size mismatch. The
+    header is checked against the file size before any payload is read."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            size = os.fstat(f.fileno()).st_size
+            header = f.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise ShapeMismatchError(f"{path}: truncated header")
+            magic, rows, cols = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise BadMagicError(f"{path}: bad magic {magic!r}")
+            expected = _HEADER.size + rows * cols * 8
+            if size != expected:
+                raise ShapeMismatchError(
+                    f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}"
+                )
+            payload = np.fromfile(f, dtype="<f8", count=rows * cols)
     except OSError as e:
         raise IoFailureError(str(e)) from e
-    if len(data) < _HEADER.size:
-        raise ShapeMismatchError(f"{path}: truncated header")
-    magic, rows, cols = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    expected = _HEADER.size + rows * cols * 8
-    if len(data) != expected:
-        raise ShapeMismatchError(
-            f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(data)}"
-        )
-    payload = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    return payload.astype(np.float64).reshape(rows, cols)
+    if payload.size != rows * cols:
+        raise ShapeMismatchError(f"{path}: file shrank while being read")
+    return payload.astype(np.float64, copy=False).reshape(rows, cols)
 
 
 def write_manifest(run_paths, path, mask_path=None) -> None:

@@ -4,19 +4,27 @@ Null replicates re-partition the K*n_C component labels into K pseudo-runs
 by a random permutation, re-run the greedy matching on the stored signed
 correlation matrix under that relabelling, score the sets with the same
 functions as the observed sets, and pool the resulting reproducibility
-values. Each replicate draws its RNG from (seed, replicate_index), so a
-replicate's values do not depend on R or on which replicates ran before.
+values. The relabelled matrix is never built: the matcher reads each row's
+partners from one descending sort of that row, shared by the observed call
+and every replicate, and advances per-row pointers in batches of
+replicates. Each replicate draws its RNG from (seed, replicate_index), so
+a replicate's values do not depend on R, on the batching, or on which
+replicates ran before.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+# match_components is not called here; it stays bound because the
+# benchmark's tracer wraps null.match_components.
 from .raicar import (
+    _STATE_CELLS,
     _check_permutation,
+    _greedy,
     compute_crcm,
     match_and_score,
-    match_components,
+    match_components,  # noqa: F401
     normalized_reproducibility,
     similarity_matrix,
 )
@@ -45,20 +53,33 @@ def permute_crcm(G: Crcm, g) -> Crcm:
     return Crcm(G.K, G.n_C, G.signed[np.ix_(g, g)])
 
 
-def _replicate_values(G: Crcm, seed, r) -> np.ndarray:
-    """Reproducibility values of one null replicate: the observed matching
-    and scoring calls on a random relabelling of G."""
-    rng = np.random.default_rng([seed, r])
-    matched = match_components(G, rng.permutation(G.K * G.n_C))
-    return normalized_reproducibility(similarity_matrix(G, [m for m, _ in matched]))
+# Fixed cap on one scoring call: about this many similarity cells.
+_SCORE_CELLS = 2**16
 
 
 def null_distribution(rc: RunCollection, G: Crcm, cfg: NullConfig) -> np.ndarray:
     """Pooled vector of R * n_C reproducibility values under the
     no-reproducibility null; deterministic given cfg.seed and cfg.R.
-    ``rc`` is not read (pass None); it stays in first position because
-    the benchmark's tracer reads ``(G, cfg)`` by position."""
-    return np.concatenate([_replicate_values(G, cfg.seed, r) for r in range(cfg.R)])
+
+    Replicate r is the observed matching on the relabelling
+    ``default_rng([seed, r]).permutation(N)`` of G, scored by the observed
+    scoring calls; replicates are matched in batches. ``rc`` is not read
+    (pass None); it stays in first position because the benchmark's
+    tracer reads ``(G, cfg)`` by position."""
+    K, N = G.K, G.K * G.n_C
+    batch = max(1, _STATE_CELLS // N)
+    per_call = max(1, _SCORE_CELLS // (K * K))
+    pool = []
+    for r0 in range(0, cfg.R, batch):
+        perms = np.array([
+            np.random.default_rng([cfg.seed, r]).permutation(N)
+            for r in range(r0, min(r0 + batch, cfg.R))
+        ])
+        sets = _greedy(G, perms)[0].reshape(-1, K)
+        for s0 in range(0, len(sets), per_call):
+            pairs = np.stack(np.divmod(sets[s0 : s0 + per_call], G.n_C), axis=-1)
+            pool.append(normalized_reproducibility(similarity_matrix(G, pairs)))
+    return np.concatenate(pool)
 
 
 def p_values(observed, null_pool) -> np.ndarray:

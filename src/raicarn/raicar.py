@@ -3,15 +3,18 @@
 Builds the block matrix of signed spatial correlations between all
 components of all runs once, greedily matches one component per run into
 aligned sets on its absolute values, and scores each set by the mean of
-its pairwise absolute correlations read from that same matrix. Observed
-sets and permutation-null sets (relabellings of that matrix) go through
-the same matching and scoring functions.
+its pairwise absolute correlations read from that same matrix. The
+matcher never builds a working matrix: it sorts each row of |G| once per
+matrix and keeps one pointer per row at that row's best partner still
+free and in another run, advancing only the pointers a step made stale.
+Observed sets and permutation-null sets (relabellings of that matrix,
+matched in batches) go through the same matching and scoring functions.
 """
 
 import numpy as np
 
 from .errors import InvalidPermutationError
-from .types import Crcm, MatchedComponent, RunCollection
+from .types import Crcm, MatchedComponent, RunCollection, _mapped_zeros
 
 
 def compute_crcm(rc: RunCollection) -> Crcm:
@@ -19,8 +22,13 @@ def compute_crcm(rc: RunCollection) -> Crcm:
     across all runs; zero-variance maps correlate 0 with everything
     (including themselves)."""
     X = rc.flat_maps()
-    Z = X - X.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(Z, axis=1)
+    Z = _mapped_zeros(X.shape, np.float64)
+    np.subtract(X, X.mean(axis=1, keepdims=True), out=Z)
+    # row norms in blocks of about 64k cells, with no Z-sized Z*Z temporary
+    step = max(1, 2**16 // Z.shape[1])
+    norms = np.concatenate([
+        np.sqrt(np.add.reduce(blk * blk, axis=1)) for blk in np.split(Z, range(step, len(Z), step))
+    ])
     # a zero-norm row is already all zeros, so it is left as it is
     np.divide(Z, norms[:, None], out=Z, where=norms[:, None] > 0)
     C = Z @ Z.T
@@ -36,6 +44,110 @@ def _check_permutation(g, N: int) -> np.ndarray:
     return g
 
 
+# Fixed cap on the batched matcher's state: about this many (replicate,
+# row) cells per batch, so every per-step temporary stays near 128 kB.
+_STATE_CELLS = 2**14
+
+
+def _greedy(G: Crcm, perms: np.ndarray):
+    """Greedy matching of B relabellings of G at once.
+
+    ``perms`` is (B, N): in replicate b, flat (pseudo-)label f holds G's
+    component ``perms[b, f]``, and pseudo-run f // n_C. The working matrix
+    of a replicate is |G| relabelled, with its within-pseudo-run blocks and
+    the rows and columns of used components zeroed; it is never built.
+    Instead each (replicate, row) keeps a pointer into ``G.row_order`` at
+    the row's best partner that is unused and in another pseudo-run, so
+    the pointer's value is the row's maximum. A step reads only those
+    values, two O(N) rows, and the pointers its members made stale.
+
+    Returns ``(members, anchor_run)``: members (B, n_C, K) are G's flat
+    labels of each slot's members in pseudo-run order, anchor_run (B, n_C)
+    is the pseudo-run of each slot's anchor member.
+    """
+    K, n_C = G.K, G.n_C
+    N = K * n_C
+    B = perms.shape[0]
+    order = G.row_order.reshape(-1)
+    signed = G.signed.reshape(-1)
+    reps = np.arange(B)
+    runs = np.arange(K)
+    pseudo_run = np.arange(N) // n_C
+    # state cell b * N + u belongs to replicate b and G's row u
+    offset = (reps * N)[:, None]
+    cell = perms + offset  # state cell of each pseudo label
+    base_of = np.repeat(reps * N, N)  # first state cell of its replicate
+    row_start = np.tile(np.arange(0, N * N, N), B)  # its row's start in the flat arrays
+    block = np.empty(B * N, dtype=np.int64)  # its pseudo-run
+    block[cell] = pseudo_run
+    used = np.zeros(B * N, dtype=bool)
+    ptr = row_start - 1  # position of its pointer in the flat row_order
+    tgt = np.empty(B * N, dtype=np.int64)  # G column under the pointer
+    val = np.empty(B * N)  # that column's absolute value; -1 once the row is used
+
+    def advance(cells):
+        """Move each cell's pointer to its row's next partner that is
+        unused and in another pseudo-run. Each pass reads about
+        _STATE_CELLS entries, so the few long scans take few passes."""
+        todo = cells
+        while todo.size:
+            width = min(N, max(1, _STATE_CELLS // todo.size))
+            # a free row always has such a partner before its row's end
+            pos = np.minimum(ptr[todo, None] + np.arange(1, width + 1), row_start[todo, None] + N - 1)
+            t = base_of[todo, None] + order[pos]
+            ok = ~used[t] & (block[t] != block[todo, None])
+            hit = ok.argmax(axis=1)
+            found = ok[np.arange(todo.size), hit]
+            ptr[todo] = np.where(found, pos[np.arange(todo.size), hit], pos[:, -1])
+            todo = todo[~found]
+        tgt[cells] = order[ptr[cells]]
+        val[cells] = np.abs(signed[row_start[cells] + tgt[cells]])
+
+    def working_row(f, free):
+        """Row f of each replicate's working matrix, in pseudo order."""
+        w = np.abs(signed[(perms[reps, f] * N)[:, None] + perms])
+        w[~free | (pseudo_run == (f // n_C)[:, None])] = 0.0
+        return w
+
+    advance(np.arange(B * N))
+    members = np.empty((B, n_C, K), dtype=np.int64)
+    anchor_run = np.empty((B, n_C), dtype=np.int64)
+    for s in range(n_C):
+        v = val[cell]
+        free = v >= 0.0
+        # the first row, in pseudo order, holding the replicate's maximum,
+        # and that row's first maximum: the working matrix is symmetric, so
+        # this is its first maximum in row-major order and fi < fj
+        fi = v.argmax(axis=1)
+        # fully degenerate replicate: seed from the lowest-index unused
+        # components of pseudo-runs 0 and 1
+        degenerate = v[reps, fi] <= 0.0
+        fi[degenerate] = free[degenerate, :n_C].argmax(axis=1)
+        row = working_row(fi, free)
+        fj = row.argmax(axis=1)
+        fj[degenerate] = n_C + free[degenerate, n_C : 2 * n_C].argmax(axis=1)
+        col = working_row(fj, free)  # row fj equals column fj by symmetry
+        # per run: the member best correlated with either anchor member,
+        # the column side winning ties; the lowest free one if both are 0
+        row, col = row.reshape(B, K, n_C), col.reshape(B, K, n_C)
+        a, b = col.argmax(axis=2), row.argmax(axis=2)
+        a_val = np.take_along_axis(col, a[..., None], 2)[..., 0]
+        b_val = np.take_along_axis(row, b[..., None], 2)[..., 0]
+        pick = np.where(a_val >= b_val, a, b)
+        both_zero = (a_val == 0.0) & (b_val == 0.0)
+        pick[both_zero] = free.reshape(B, K, n_C).argmax(axis=2)[both_zero]
+        (l, i), (m, j) = divmod(fi, n_C), divmod(fj, n_C)
+        pick[reps, l], pick[reps, m] = i, j
+        taken = np.take_along_axis(perms, runs * n_C + pick, 1)
+        members[:, s], anchor_run[:, s] = taken, l
+        taken_cells = (taken + offset).reshape(-1)
+        used[taken_cells] = True
+        val[taken_cells] = -1.0
+        if s + 1 < n_C:
+            advance(np.flatnonzero(used[base_of + tgt] & ~used))
+    return members, anchor_run
+
+
 def match_components(G: Crcm, order=None):
     """Greedy across-run matching on |G| with the within-run blocks zeroed,
     after relabelling: flat index f holds G's component ``order[f]``
@@ -44,44 +156,19 @@ def match_components(G: Crcm, order=None):
     Each component slot seeds a matched set at the global maximum (the
     anchor pair), then takes from every other run the unused component
     best correlated with either anchor member, the second member winning
-    ties, and zeroes the rows and columns of all members. A run with no
-    positive correlation to either takes its lowest-index unused
-    component. Returns one (members, anchor) pair per slot, members being
-    G's (run, component) pairs in (pseudo-)run order; across all sets
-    every (run, component) pair is used exactly once.
+    ties, and retires all members. A run with no positive correlation to
+    either takes its lowest-index unused component. Returns one (members,
+    anchor) pair per slot, members being G's (run, component) pairs in
+    (pseudo-)run order; across all sets every (run, component) pair is
+    used exactly once.
     """
-    K, n_C = G.K, G.n_C
-    N = K * n_C
+    N = G.K * G.n_C
     g = np.arange(N) if order is None else _check_permutation(order, N)
-    runs = np.arange(K)
-    W = G.signed[np.ix_(g, g)]
-    np.abs(W, out=W)
-    W.reshape(K, n_C, K, n_C)[runs, :, runs, :] = 0.0
-    free = np.ones((K, n_C), dtype=bool)
+    members, anchor_run = _greedy(G, g[None, :].astype(np.int64))
     matched = []
-    for _ in range(n_C):
-        # W is symmetric, so the first maximum in row-major order has
-        # fi < fj: the anchor pair comes out lexicographic.
-        fi, fj = divmod(int(np.argmax(W)), N)
-        if W[fi, fj] <= 0.0:
-            # Fully degenerate matrix: seed from the lowest-index unused
-            # components of runs 0 and 1.
-            fi, fj = int(np.argmax(free[0])), n_C + int(np.argmax(free[1]))
-        # row fj equals column fj by symmetry
-        col = W[fj].reshape(K, n_C)
-        row = W[fi].reshape(K, n_C)
-        a, b = col.argmax(axis=1), row.argmax(axis=1)
-        a_val, b_val = col[runs, a], row[runs, b]
-        pick = np.where(a_val >= b_val, a, b)
-        pick = np.where((a_val == 0.0) & (b_val == 0.0), free.argmax(axis=1), pick)
-        (l, i), (m, j) = divmod(fi, n_C), divmod(fj, n_C)
-        pick[l], pick[m] = i, j
-        flat = runs * n_C + pick
-        W[flat, :] = 0.0
-        W[:, flat] = 0.0
-        free[runs, pick] = False
-        members = [divmod(f, n_C) for f in g[flat].tolist()]
-        matched.append((members, members[l]))
+    for labels, l in zip(members[0].tolist(), anchor_run[0].tolist()):
+        pairs = [divmod(f, G.n_C) for f in labels]
+        matched.append((pairs, pairs[l]))
     return matched
 
 
@@ -92,7 +179,8 @@ def similarity_matrix(G: Crcm, members) -> np.ndarray:
     for S sets gives (S, K, K)."""
     m = np.asarray(members)
     flat = m[..., 0] * G.n_C + m[..., 1]
-    H = np.abs(G.signed[flat[..., :, None], flat[..., None, :]])
+    N = G.K * G.n_C
+    H = np.abs(G.signed.reshape(-1)[flat[..., :, None] * N + flat[..., None, :]])
     K = flat.shape[-1]
     H[..., np.arange(K), np.arange(K)] = 1.0
     return H

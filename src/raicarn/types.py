@@ -5,7 +5,9 @@ read-only) and validate their invariants in ``__post_init__``, so a value
 that exists is a valid value.
 """
 
+import mmap
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +17,16 @@ from .errors import (
     RankDeficientError,
     TooFewRunsError,
 )
+
+
+def _mapped_zeros(shape, dtype) -> np.ndarray:
+    """A zero-filled array in its own anonymous memory map, for large
+    buffers: freeing it returns its pages to the OS at once, where malloc
+    would keep them in its heap and add them to the next run's peak."""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(buf, dtype, count=count).reshape(shape)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -118,6 +130,21 @@ class Crcm:
     def full(self) -> np.ndarray:
         """Absolute correlations, within-run blocks intact (a new array)."""
         return np.abs(self.signed)
+
+    @cached_property
+    def row_order(self) -> np.ndarray:
+        """Column indices of each row of |signed| in descending order of
+        value (ties in any order), sorted once per matrix in row chunks of
+        a few MB; int16 while N fits, else int32. Read-only."""
+        N = self.K * self.n_C
+        out = _mapped_zeros((N, N), np.int16 if N <= np.iinfo(np.int16).max else np.int32)
+        step = max(1, 2**18 // N)
+        for s in range(0, N, step):
+            neg = np.abs(self.signed[s : s + step])
+            np.negative(neg, out=neg)
+            out[s : s + step] = np.argsort(neg, axis=1)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,20 @@ class TestMatrixFormat:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ShapeMismatchError):
             io.read_matrix(path)
+
+    def test_header_checked_before_payload(self, tmp_path):
+        # a header claiming 65535 x 65535 (32 GiB) on a short file is
+        # rejected from the file size, naming the size it expected
+        path = tmp_path / "m.rnm"
+        path.write_bytes(struct.pack("<4sII", io.MAGIC, 65535, 65535) + bytes(8))
+        expected = 12 + 8 * 65535 * 65535
+        with pytest.raises(ShapeMismatchError, match=f"expected {expected} bytes"):
+            io.read_matrix(path)
+
+    def test_empty_matrix_round_trip(self, tmp_path):
+        path = tmp_path / "m.rnm"
+        io.write_matrix(np.empty((0, 3)), path)
+        assert io.read_matrix(path).shape == (0, 3)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.rnm"

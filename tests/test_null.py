@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raicarn import null
 from raicarn.errors import InvalidPermutationError
 from raicarn.null import (
     NullConfig,
@@ -16,6 +17,7 @@ from raicarn.null import (
     select_significant,
 )
 from raicarn.raicar import (
+    _greedy,
     compute_crcm,
     match_and_score,
     match_components,
@@ -90,6 +92,10 @@ def _tied_or_random(kind, K, n_C, rng):
     U = rng.uniform(-1, 1, (N, N))
     if kind == "quantised":
         U = np.round(U * 4) / 4
+    elif kind == "sparse":
+        # few non-zero entries: the matrix runs out of positive values
+        # part-way, and the lowest-index fallback takes over
+        U = np.round(U * 4) / 4 * (rng.random((N, N)) < 0.1)
     elif kind == "constant":
         U = np.full((N, N), U[0, 0])
     elif kind == "zero":
@@ -98,16 +104,60 @@ def _tied_or_random(kind, K, n_C, rng):
     return Crcm(K, n_C, S + np.triu(S, 1).T)
 
 
+def _dense_greedy(G):
+    """Reference greedy matcher: one argmax over the whole N x N working
+    matrix per step, as the matching is defined. Returns match_components'
+    format."""
+    K, n_C = G.K, G.n_C
+    N = K * n_C
+    runs = np.arange(K)
+    W = G.full
+    W.reshape(K, n_C, K, n_C)[runs, :, runs, :] = 0.0
+    free = np.ones((K, n_C), dtype=bool)
+    matched = []
+    for _ in range(n_C):
+        fi, fj = divmod(int(np.argmax(W)), N)
+        if W[fi, fj] <= 0.0:
+            fi, fj = int(np.argmax(free[0])), n_C + int(np.argmax(free[1]))
+        col, row = W[fj].reshape(K, n_C), W[fi].reshape(K, n_C)
+        a, b = col.argmax(axis=1), row.argmax(axis=1)
+        a_val, b_val = col[runs, a], row[runs, b]
+        pick = np.where(a_val >= b_val, a, b)
+        pick = np.where((a_val == 0.0) & (b_val == 0.0), free.argmax(axis=1), pick)
+        (l, i), (m, j) = divmod(fi, n_C), divmod(fj, n_C)
+        pick[l], pick[m] = i, j
+        flat = runs * n_C + pick
+        W[flat, :] = 0.0
+        W[:, flat] = 0.0
+        free[runs, pick] = False
+        members = [divmod(int(f), n_C) for f in flat]
+        matched.append((members, members[l]))
+    return matched
+
+
+def _reference_pool(G, cfg):
+    """The null pool replicate by replicate: the matcher on the permuted
+    matrix, scored on the permuted matrix."""
+    vals = []
+    for r in range(cfg.R):
+        g = np.random.default_rng([cfg.seed, r]).permutation(G.K * G.n_C)
+        Gp = permute_crcm(G, g)
+        sets = [m for m, _ in match_components(Gp)]
+        vals.append(normalized_reproducibility(similarity_matrix(Gp, sets)))
+    return np.concatenate(vals)
+
+
 class TestRelabelledMatching:
-    """A null replicate is match_components(G, g); the reference is the
-    matcher on the permuted matrix permute_crcm(G, g)."""
+    """A null replicate is match_components(G, g); the references are the
+    matcher on the permuted matrix permute_crcm(G, g) and the dense
+    argmax matcher on that matrix."""
 
     @settings(max_examples=120, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 7),
         st.integers(1, 6),
-        st.sampled_from(["random", "quantised", "constant", "zero"]),
+        st.sampled_from(["random", "quantised", "sparse", "constant", "zero"]),
     )
     def test_relabelled_matcher_equals_permuted_matrix(self, seed, K, n_C, kind):
         rng = np.random.default_rng(seed)
@@ -115,6 +165,8 @@ class TestRelabelledMatching:
         g = rng.permutation(K * n_C)
         Gp = permute_crcm(G, g)
         ref = match_components(Gp)
+        assert ref == _dense_greedy(Gp)
+        assert match_components(G) == _dense_greedy(G)
         got = match_components(G, g)
         assert got == [(_through(g, n_C, m), _through(g, n_C, [a])[0]) for m, a in ref]
         assert all(type(x) is int for m, a in got for pair in m + [a] for x in pair)
@@ -122,6 +174,61 @@ class TestRelabelledMatching:
         ref_vals = normalized_reproducibility(similarity_matrix(Gp, [m for m, _ in ref]))
         got_vals = normalized_reproducibility(similarity_matrix(G, [m for m, _ in got]))
         assert got_vals.tobytes() == ref_vals.tobytes()
+
+
+class TestBatchedNull:
+    """null_distribution matches replicates in batches of about
+    _STATE_CELLS / N; its pool is the replicate-by-replicate reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(1, 5),
+        st.sampled_from(["random", "quantised", "sparse", "constant", "zero"]),
+        st.integers(2, 4),
+        st.integers(0, 3),
+    )
+    def test_pool_equals_per_replicate_reference(self, seed, K, n_C, kind, batch, extra):
+        G = _tied_or_random(kind, K, n_C, np.random.default_rng(seed))
+        # several batches and a partial last one
+        cfg = NullConfig(R=3 * batch + 1 + extra % (batch - 1), seed=seed % 1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(null, "_STATE_CELLS", batch * K * n_C)
+            pool = null_distribution(None, G, cfg)
+        assert pool.tobytes() == _reference_pool(G, cfg).tobytes()
+
+    def test_pool_equals_reference_at_full_batch_size(self):
+        # N=600: batches of 27 replicates, the third one partial
+        G = compute_crcm(_random_rc(20, 30, 200, seed=21))
+        cfg = NullConfig(R=60, seed=3)
+        assert null_distribution(None, G, cfg).tobytes() == _reference_pool(G, cfg).tobytes()
+
+    def test_pool_is_a_prefix_across_batches(self):
+        # N=160: batches of 102 replicates
+        G = compute_crcm(_random_rc(20, 8, 100, seed=22))
+        short = null_distribution(None, G, NullConfig(R=100, seed=5))
+        longer = null_distribution(None, G, NullConfig(R=110, seed=5))
+        assert longer[: short.size].tobytes() == short.tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "zero"])
+    def test_bijection_at_n_2000(self, kind):
+        # K=50, n_C=40: every (run, component) is used exactly once per
+        # replicate, and slot s takes one member from every pseudo-run
+        K, n_C = 50, 40
+        N = K * n_C
+        if kind == "zero":
+            G = Crcm(K, n_C, np.zeros((N, N)))
+        else:
+            G = compute_crcm(_random_rc(K, n_C, 60, seed=23))
+        perms = np.array([np.random.default_rng([0, r]).permutation(N) for r in range(8)])
+        members, anchor_run = _greedy(G, perms)
+        assert members.shape == (8, n_C, K)
+        for g, labels, anchors in zip(perms, members, anchor_run):
+            assert np.array_equal(np.sort(labels, axis=None), np.arange(N))
+            pseudo = np.argsort(g)[labels]
+            assert np.array_equal(pseudo // n_C, np.broadcast_to(np.arange(K), (n_C, K)))
+            assert ((0 <= anchors) & (anchors < K)).all()
 
 
 class TestNullDistribution:
@@ -170,6 +277,16 @@ class TestNullDistribution:
         pool = null_distribution(None, Crcm(6, 5, S + S.T), NullConfig(R=200, seed=7))
         assert hashlib.sha256(pool.tobytes()).hexdigest() == (
             "6726a309ccee31ca5e38546eba513737536b62b26b55373256b647c5566b12c8"
+        )
+
+    def test_paper_scale_pool_digest_is_pinned(self):
+        # planted data at the acceptance-test shape (N=160, R=300): guards
+        # the matcher and the batched null on real-scale input, where the
+        # tie pin above guards the tie rules
+        rc, _ = planted_runset(PlantSpec(n=2000, n_C=8, K=20, n_planted=3, seed=1))
+        pool = null_distribution(None, compute_crcm(rc), NullConfig(R=300, seed=1))
+        assert hashlib.sha256(pool.tobytes()).hexdigest() == (
+            "bc00ec38c35a45d68bddbb04d507b4333de9882e4fd5d4399dfa1637074c62c9"
         )
 
 

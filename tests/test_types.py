@@ -70,6 +70,19 @@ class TestCrcm:
         np.testing.assert_array_equal(G.full, np.abs(m))
         np.testing.assert_array_equal(G.signed, m)
 
+    def test_row_order_sorts_each_row_once(self):
+        # 600 rows span two of the sort's row chunks
+        rng = np.random.default_rng(0)
+        U = np.round(rng.uniform(-1, 1, (600, 600)) * 4) / 4
+        S = np.triu(U)
+        G = Crcm(3, 200, S + np.triu(S, 1).T)
+        order = G.row_order
+        assert order.dtype == np.int16 and not order.flags.writeable
+        assert G.row_order is order  # computed once per matrix
+        np.testing.assert_array_equal(np.sort(order, axis=1), np.broadcast_to(np.arange(600), (600, 600)))
+        ranked = np.take_along_axis(G.full, order.astype(np.int64), axis=1)
+        assert (np.diff(ranked, axis=1) <= 0).all()
+
 
 class TestMatchedComponent:
     def test_rejects_duplicate_run(self):
