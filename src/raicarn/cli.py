@@ -12,9 +12,9 @@ import sys
 import numpy as np
 
 from . import grouping, io, mixture, synth
-from .config import load_pipeline_config
+from .config import SECTION_KEYS, load_pipeline_config
 from .errors import DegenerateDataError, DomainError, RaicarnError, ShapeMismatchError
-from .ica import IcaConfig, residual_sd, run_group_ica, run_single_ica, z_scale
+from .ica import NONLINEARITIES, IcaConfig, residual_sd, run_group_ica, run_single_ica, z_scale
 from .null import NullConfig, run_raicar_n
 
 EXIT_OK = 0
@@ -59,24 +59,24 @@ def _build_parser():
 
     p = sub.add_parser("ica", help="single or group decomposition of data matrices")
     p.add_argument("data", nargs="+", help="input matrix file(s)")
-    p.add_argument("--q", type=int, default=None, help="model order")
-    p.add_argument("--nonlinearity", choices=("tanh", "cubic"), default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--q", type=int, help="model order")
+    p.add_argument("--nonlinearity", choices=NONLINEARITIES)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--group", action="store_true", help="stack inputs time-wise before decomposing")
     p.add_argument("--raw", action="store_true", help="emit raw component maps instead of z-scaled")
-    p.add_argument("--config", default=None, help="pipeline config file supplying defaults")
+    p.add_argument("--config", help="pipeline config file supplying defaults")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ica)
 
     p = sub.add_parser("raicarn", help="reproducibility analysis with permutation p-values")
     p.add_argument("manifest", help="run manifest file")
-    p.add_argument("--R", type=int, default=None, help="null replicates")
-    p.add_argument("--pcrit", type=float, default=None, help="significance cutoff")
+    p.add_argument("--R", type=int, help="null replicates")
+    p.add_argument("--pcrit", type=float, dest="p_crit", help="significance cutoff")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1, help="ignored: replicates run serially")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", help="pipeline config file supplying defaults")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_raicarn)
 
@@ -92,11 +92,11 @@ def _build_parser():
     p = sub.add_parser("mixture", help="tail-mixture display of significant components")
     p.add_argument("--report", required=True, help="reproducibility report file")
     p.add_argument("--manifest", required=True, help="run manifest the report was computed from")
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--seed", type=int, default=None, help="ignored: the fit is deterministic")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", help="pipeline config file supplying defaults")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mixture)
 
@@ -108,17 +108,14 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _config_section(args, section):
-    if getattr(args, "config", None) is None:
-        return {}
-    cfg = load_pipeline_config(args.config)
-    return getattr(cfg, section)
-
-
-def _pick(flag_value, cfg, key, default):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
+def _settings(args, section) -> dict:
+    """The ``--config`` file's [section], overridden by the flags given;
+    the config class supplies every default and checks every bound."""
+    settings = load_pipeline_config(args.config)[section] if args.config is not None else {}
+    for key in SECTION_KEYS[section]:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return settings
 
 
 def cmd_simulate(args) -> int:
@@ -144,17 +141,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ica(args) -> int:
-    cfg_ica = _config_section(args, "ica")
-    q = _pick(args.q, cfg_ica, "q", None)
-    if q is None:
+    settings = _settings(args, "ica")
+    if "q" not in settings:
         raise UsageError("model order --q is required (flag or config)")
-    cfg = IcaConfig(
-        q=q,
-        nonlinearity=_pick(args.nonlinearity, cfg_ica, "nonlinearity", "tanh"),
-        max_iters=_pick(args.max_iters, cfg_ica, "max_iters", 500),
-        tol=_pick(args.tol, cfg_ica, "tol", 1e-6),
-        seed=args.seed,
-    )
+    cfg = IcaConfig(**settings, seed=args.seed)
     mats = [io.read_matrix(p) for p in args.data]
     if args.group:
         model = run_group_ica(mats, cfg)
@@ -176,6 +166,7 @@ def cmd_ica(args) -> int:
             f"q = {model.q}",
             f"sigma2 = {model.sigma2!r}",
             f"converged = {'true' if model.converged else 'false'}",
+            f"iterations = {model.n_iters}",
             f"scaled = {'raw' if args.raw else 'z'}",
         ],
     )
@@ -184,12 +175,7 @@ def cmd_ica(args) -> int:
 
 
 def cmd_raicarn(args) -> int:
-    cfg_null = _config_section(args, "null")
-    cfg = NullConfig(
-        R=_pick(args.R, cfg_null, "R", 100),
-        seed=args.seed,
-        p_crit=_pick(args.pcrit, cfg_null, "p_crit", 0.05),
-    )
+    cfg = NullConfig(**_settings(args, "null"), seed=args.seed)
     # no name here holds the maps, so run_raicar_n can free them before the null
     report = run_raicar_n(io.load_runs(args.manifest), cfg)
     out = _outdir(args)
@@ -218,9 +204,7 @@ def cmd_plan_groups(args) -> int:
 
 
 def cmd_mixture(args) -> int:
-    cfg_mix = _config_section(args, "mixture")
-    max_iters = _pick(args.max_iters, cfg_mix, "max_iters", 500)
-    tol = _pick(args.tol, cfg_mix, "tol", 1e-9)
+    cfg = mixture.MixtureConfig(**_settings(args, "mixture"))
     report = io.read_report(args.report)
     rc = io.load_runs(args.manifest)
     for mc in report.matched:
@@ -238,7 +222,7 @@ def cmd_mixture(args) -> int:
         normalized = mixture.normalize_maps(aligned)
         t_map, degenerate = mixture.group_tstat(normalized)
         try:
-            fit = mixture.fit_mixture(t_map, max_iters=max_iters, tol=tol)
+            fit = mixture.fit_mixture(t_map, cfg)
         except DegenerateDataError:
             # No spread to model (e.g. identical member maps): everything null.
             fit = None

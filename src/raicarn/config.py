@@ -1,28 +1,28 @@
-"""Pipeline configuration file: INI-style sections supplying defaults to
+"""Pipeline configuration file: INI-style sections supplying settings to
 the subcommands that take ``--config`` ([ica] to ``ica``, [null] to
-``raicarn``, [mixture] to ``mixture``). Unknown sections or keys are
-rejected and numeric bounds are enforced at parse time."""
+``raicarn``, [mixture] to ``mixture``). A section's keys and their types
+are the fields of its config class, less ``seed``, which only the
+``--seed`` flag sets. Unknown sections or keys and values of the wrong
+type are rejected at parse time; bounds are checked by the config class
+when the subcommand that reads the section builds it."""
 
 import configparser
-from dataclasses import dataclass
+import dataclasses
 
 from .errors import IoFailureError
+from .ica import IcaConfig
+from .mixture import MixtureConfig
+from .null import NullConfig
 
-_SCHEMA = {
-    "ica": {"q": int, "nonlinearity": str, "max_iters": int, "tol": float},
-    "null": {"R": int, "p_crit": float},
-    "mixture": {"max_iters": int, "tol": float},
+SECTION_KEYS = {
+    section: {f.name: f.type for f in dataclasses.fields(cls) if f.name != "seed"}
+    for section, cls in (("ica", IcaConfig), ("null", NullConfig), ("mixture", MixtureConfig))
 }
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    ica: dict
-    null: dict
-    mixture: dict
-
-
-def load_pipeline_config(path) -> PipelineConfig:
+def load_pipeline_config(path) -> dict:
+    """``{section: {key: value}}`` with every known section present (empty
+    when the file leaves it out)."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive
     try:
@@ -33,41 +33,15 @@ def load_pipeline_config(path) -> PipelineConfig:
     except configparser.Error as e:
         raise ValueError(f"{path}: {e}") from e
 
-    out = {name: {} for name in _SCHEMA}
+    out = {name: {} for name in SECTION_KEYS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SECTION_KEYS:
             raise ValueError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in SECTION_KEYS[section]:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                out[section][key] = _SCHEMA[section][key](raw)
+                out[section][key] = SECTION_KEYS[section][key](raw)
             except ValueError as e:
                 raise ValueError(f"{path}: bad value for {section}.{key}: {raw!r}") from e
-    _check_bounds(path, out)
-    return PipelineConfig(**out)
-
-
-def _check_bounds(path, out):
-    def fail(msg):
-        raise ValueError(f"{path}: {msg}")
-
-    ica = out["ica"]
-    if "q" in ica and ica["q"] < 1:
-        fail("ica.q must be >= 1")
-    if "nonlinearity" in ica and ica["nonlinearity"] not in ("tanh", "cubic"):
-        fail("ica.nonlinearity must be tanh or cubic")
-    if "tol" in ica and ica["tol"] <= 0:
-        fail("ica.tol must be > 0")
-    if "max_iters" in ica and ica["max_iters"] < 1:
-        fail("ica.max_iters must be >= 1")
-    null = out["null"]
-    if "R" in null and null["R"] < 1:
-        fail("null.R must be >= 1")
-    if "p_crit" in null and not 0.0 < null["p_crit"] < 1.0:
-        fail("null.p_crit must lie in (0, 1)")
-    mixture = out["mixture"]
-    if "max_iters" in mixture and mixture["max_iters"] < 1:
-        fail("mixture.max_iters must be >= 1")
-    if "tol" in mixture and mixture["tol"] <= 0:
-        fail("mixture.tol must be > 0")
+    return out

@@ -31,6 +31,8 @@ class IcaConfig:
             raise ValueError(f"model order must be >= 1, got {self.q}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -129,15 +131,6 @@ def fastica(Yw, cfg: IcaConfig) -> FastIcaResult:
     return FastIcaResult(O=W, S=W @ Yw, converged=converged, n_iters=it)
 
 
-def estimate_sources(Y, mu, A) -> np.ndarray:
-    """Least-squares source recovery: (A^T A)^-1 A^T (Y - mu)."""
-    A = np.asarray(A, dtype=np.float64)
-    if np.linalg.matrix_rank(A) < A.shape[1]:
-        raise RankDeficientError("mixing matrix must have full column rank")
-    Yc = np.asarray(Y, dtype=np.float64) - np.asarray(mu, dtype=np.float64)[:, None]
-    return np.linalg.solve(A.T @ A, A.T @ Yc)
-
-
 def z_scale(S, residual_sd) -> np.ndarray:
     """Divide each location (column) by its residual noise standard
     deviation."""
@@ -156,7 +149,9 @@ def residual_sd(Y, model: IcaModel) -> np.ndarray:
 
 def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
     """Center, reduce, whiten, rotate; maps the mixing matrix back to
-    sensor coordinates so that Y ~ mu + A S + noise."""
+    sensor coordinates so that Y ~ mu + A S + noise. S is the least-squares
+    estimate (A^T A)^-1 A^T (Y - mu): A = basis sqrt(lambda) O^T makes
+    (A^T A)^-1 A^T = O whitener."""
     Y = np.asarray(Y, dtype=np.float64)
     p, n = Y.shape
     if not cfg.q < min(p, n):
@@ -166,7 +161,8 @@ def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
     Yw = red.whitener @ Yc
     res = fastica(Yw, cfg)
     A = red.basis * np.sqrt(red.eigenvalues[: cfg.q]) @ res.O.T
-    return IcaModel(mu=mu, A=A, S=res.S, sigma2=red.sigma2, q=cfg.q, converged=res.converged)
+    return IcaModel(mu=mu, A=A, S=res.S, sigma2=red.sigma2, q=cfg.q,
+                    converged=res.converged, n_iters=res.n_iters)
 
 
 def run_group_ica(datasets, cfg: IcaConfig) -> IcaModel:

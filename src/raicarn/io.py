@@ -120,11 +120,10 @@ def load_runs(manifest_path):
     return validate_run_collection(runs)
 
 
-def write_report(report: ReproducibilityReport, path, null_path=None) -> None:
-    """Write a reproducibility report plus its pooled null sample as a
-    companion matrix file (default: report path + ``.null.rnm``)."""
-    if null_path is None:
-        null_path = str(path) + ".null.rnm"
+def write_report(report: ReproducibilityReport, path) -> None:
+    """Write a reproducibility report plus its pooled null sample as the
+    companion matrix file report path + ``.null.rnm``."""
+    null_path = str(path) + ".null.rnm"
     write_matrix(np.asarray(report.null_sample)[None, :], null_path)
     lines = [
         "# raicarn reproducibility report",

@@ -170,8 +170,22 @@ def _select_dof(x, loc, scale, weights=None):
     return best
 
 
-def fit_mixture(t_map, max_iters: int = 500, tol: float = 1e-9) -> MixtureFit:
-    """EM fit of the t / Gamma+ / Gamma- mixture to a statistic map.
+@dataclass(frozen=True)
+class MixtureConfig:
+    max_iters: int = 500
+    tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+
+
+def fit_mixture(t_map, cfg: MixtureConfig = MixtureConfig()) -> MixtureFit:
+    """EM fit of the t / Gamma+ / Gamma- mixture to a statistic map; stops
+    when the log-likelihood moves by less than cfg.tol, or after
+    cfg.max_iters iterations.
 
     The background dof is picked from a small grid (re-selected every few
     iterations as a conditional-maximization step, so the trace stays
@@ -201,10 +215,10 @@ def fit_mixture(t_map, max_iters: int = 500, tol: float = 1e-9) -> MixtureFit:
 
     trace = []
     converged = False
-    for it in range(max_iters):
+    for it in range(cfg.max_iters):
         ll, resp = _posterior(_class_logpdfs(x, t_params, gammas, supports), weights)
         trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
             break
 

@@ -191,11 +191,11 @@ def normalized_reproducibility(H: np.ndarray) -> np.ndarray:
     in H, shape (..., K, K); returns an array of shape H.shape[:-2]."""
     K = H.shape[-1]
     iu = np.triu_indices(K, k=1)
-    upper = H[..., iu[0], iu[1]]
-    # each set's sum is its own 1-D reduction, as when sets were scored one
-    # at a time, so a value does not depend on how many sets are stacked
-    sums = np.array([u.sum() for u in upper.reshape(-1, upper.shape[-1])])
-    return (2.0 * sums / ((K - 1) * K)).reshape(H.shape[:-2])
+    # the gather lays the set axis innermost in memory; made contiguous, each
+    # set's sum is its own contiguous 1-D reduction, as when sets were scored
+    # one at a time, so a value does not depend on how many sets are stacked
+    upper = np.ascontiguousarray(H[..., iu[0], iu[1]])
+    return 2.0 * upper.sum(axis=-1) / ((K - 1) * K)
 
 
 def align_signs(G: Crcm, members, anchor):

@@ -225,6 +225,7 @@ class IcaModel:
     sigma2: float
     q: int
     converged: bool = True
+    n_iters: int = 0  # fixed-point iterations run
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)

@@ -6,6 +6,7 @@ import pytest
 
 from raicarn import io
 from raicarn.cli import main
+from raicarn.synth import gen_mixture, gen_sources
 
 
 def _simulate(out, seed=7, K=6, nc=3, planted=2, overlap=0.95, n=800):
@@ -16,6 +17,14 @@ def _simulate(out, seed=7, K=6, nc=3, planted=2, overlap=0.95, n=800):
     ])
     assert rc == 0
     return os.path.join(str(out), "manifest.txt")
+
+
+def _ica_data(tmp_path, seed=0, p=10, n=1500):
+    S = gen_sources(3, n, "laplacian", seed)
+    Y, _, _ = gen_mixture(S, p=p, sigma=0.1, seed=seed + 1)
+    path = tmp_path / f"data{seed}.rnm"
+    io.write_matrix(Y, path)
+    return path
 
 
 def _same_bytes(a, b):
@@ -44,40 +53,52 @@ class TestSimulate:
 
 
 class TestIca:
-    def _data(self, tmp_path, seed=0, p=10, n=1500):
-        from raicarn.synth import gen_mixture, gen_sources
-
-        S = gen_sources(3, n, "laplacian", seed)
-        Y, _, _ = gen_mixture(S, p=p, sigma=0.1, seed=seed + 1)
-        path = tmp_path / f"data{seed}.rnm"
-        io.write_matrix(Y, path)
-        return path
-
     def test_single_run_outputs(self, tmp_path):
-        data = self._data(tmp_path)
+        data = _ica_data(tmp_path)
         out = tmp_path / "ica"
         assert main(["ica", str(data), "--q", "3", "--seed", "1", "--out", str(out)]) == 0
         comps = io.read_matrix(out / "components.rnm")
         assert comps.shape == (3, 1500)
         assert io.read_matrix(out / "mixing.rnm").shape == (10, 3)
-        assert "q = 3" in (out / "model.txt").read_text()
+        model = dict(
+            line.split(" = ") for line in (out / "model.txt").read_text().splitlines()[1:]
+        )
+        assert model["q"] == "3"
+        assert model["converged"] == "true"
+        assert 1 <= int(model["iterations"]) < 500
+
+    def test_iteration_cap_recorded(self, tmp_path):
+        data = _ica_data(tmp_path)
+        out = tmp_path / "ica"
+        rc = main(["ica", str(data), "--q", "3", "--max-iters", "2", "--tol", "1e-300",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        text = (out / "model.txt").read_text()
+        assert "converged = false\niterations = 2\n" in text
+
+    def test_max_iters_zero_is_usage_error(self, tmp_path):
+        data = _ica_data(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["ica", str(data), "--q", "3", "--max-iters", "0", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_group_mode(self, tmp_path):
-        d1 = self._data(tmp_path, seed=2)
-        d2 = self._data(tmp_path, seed=3)
+        d1 = _ica_data(tmp_path, seed=2)
+        d2 = _ica_data(tmp_path, seed=3)
         out = tmp_path / "gica"
         rc = main(["ica", str(d1), str(d2), "--group", "--q", "3", "--seed", "1", "--out", str(out)])
         assert rc == 0
         assert io.read_matrix(out / "components.rnm").shape == (3, 1500)
 
     def test_two_files_without_group_is_usage_error(self, tmp_path):
-        d1 = self._data(tmp_path, seed=4)
-        d2 = self._data(tmp_path, seed=5)
+        d1 = _ica_data(tmp_path, seed=4)
+        d2 = _ica_data(tmp_path, seed=5)
         rc = main(["ica", str(d1), str(d2), "--q", "3", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
 
     def test_q_zero_is_usage_error(self, tmp_path):
-        data = self._data(tmp_path, seed=6)
+        data = _ica_data(tmp_path, seed=6)
         assert main(["ica", str(data), "--q", "0", "--seed", "1", "--out", str(tmp_path / "o")]) == 2
 
     def test_missing_data_is_runtime_error(self, tmp_path):
@@ -85,13 +106,56 @@ class TestIca:
         assert rc == 1
 
     def test_config_supplies_defaults(self, tmp_path):
-        data = self._data(tmp_path, seed=7)
+        data = _ica_data(tmp_path, seed=7)
         cfg = tmp_path / "p.cfg"
         cfg.write_text("[ica]\nq = 3\n")
         out = tmp_path / "cfgica"
         rc = main(["ica", str(data), "--config", str(cfg), "--seed", "1", "--out", str(out)])
         assert rc == 0
         assert io.read_matrix(out / "components.rnm").shape[0] == 3
+
+
+class TestConfigFile:
+    """Bounds live in the config classes, so a bad value exits 2 from a
+    flag and from a --config file alike, in the subcommand that reads it."""
+
+    def test_bounds_enforced(self, tmp_path):
+        manifest = _simulate(tmp_path / "sim", seed=12)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[null]\np_crit = 1.5\n")
+        rc = main(["raicarn", manifest, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        cfg.write_text("[ica]\nq = 0\n")
+        data = _ica_data(tmp_path)
+        rc = main(["ica", str(data), "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "i")])
+        assert rc == 2
+
+    def test_flags_win_over_file(self, tmp_path):
+        manifest = _simulate(tmp_path / "sim", seed=13)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[null]\nR = 0\np_crit = 0.2\n")
+        out = tmp_path / "rep"
+        rc = main(["raicarn", manifest, "--config", str(cfg), "--R", "7", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        report = io.read_report(out / "report.txt")
+        assert report.p_crit == 0.2 and report.null_sample.shape == (7 * 3,)
+
+    @pytest.mark.parametrize("text", ["[mixture]\nmax_iters = 0\n", "[mixture]\ntol = -1\n"])
+    def test_bad_mixture_section_exits_2(self, tmp_path, text):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text)
+        rc = main(["mixture", "--report", str(tmp_path / "absent.txt"),
+                   "--manifest", str(tmp_path / "absent.txt"), "--config", str(cfg),
+                   "--out", str(tmp_path / "m")])
+        assert rc == 2
+
+    def test_section_read_by_another_subcommand_is_not_checked(self, tmp_path):
+        manifest = _simulate(tmp_path / "sim", seed=14)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[ica]\nq = 0\n[mixture]\ntol = -1\n")
+        rc = main(["raicarn", manifest, "--config", str(cfg), "--R", "5", "--seed", "1",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 0
 
 
 class TestRaicarn:
@@ -192,6 +256,14 @@ class TestMixtureCommand:
         assert (out / "comp01_fit.txt").exists()
         labels = io.read_matrix(out / "comp01_labels.rnm")
         assert set(np.unique(labels)) <= {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--tol", "-1"]])
+    def test_bad_stopping_rule_is_usage_error(self, tmp_path, flags):
+        manifest, report = self._analysis(tmp_path)
+        out = tmp_path / "mix"
+        rc = main(["mixture", "--report", report, "--manifest", manifest, *flags, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_seed_is_optional_and_ignored(self, tmp_path):
         manifest, report = self._analysis(tmp_path)

@@ -27,14 +27,20 @@ p_crit = 0.01
 max_iters = 400
 tol = 1e-8
 """))
-        assert cfg.ica == {"q": 8, "nonlinearity": "cubic", "max_iters": 300, "tol": 1e-5}
-        assert cfg.null == {"R": 200, "p_crit": 0.01}
-        assert cfg.mixture == {"max_iters": 400, "tol": 1e-8}
+        assert cfg == {
+            "ica": {"q": 8, "nonlinearity": "cubic", "max_iters": 300, "tol": 1e-5},
+            "null": {"R": 200, "p_crit": 0.01},
+            "mixture": {"max_iters": 400, "tol": 1e-8},
+        }
+        assert type(cfg["ica"]["max_iters"]) is int and type(cfg["null"]["p_crit"]) is float
 
     def test_partial_config(self, tmp_path):
         cfg = load_pipeline_config(_write(tmp_path, "[null]\nR = 50\n"))
-        assert cfg.null == {"R": 50}
-        assert cfg.ica == {} and cfg.mixture == {}
+        assert cfg == {"ica": {}, "null": {"R": 50}, "mixture": {}}
+
+    def test_seed_is_not_a_key(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown key"):
+            load_pipeline_config(_write(tmp_path, "[null]\nseed = 3\n"))
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ValueError, match="unknown section"):
@@ -53,11 +59,11 @@ tol = 1e-8
         with pytest.raises(ValueError, match="bad value"):
             load_pipeline_config(_write(tmp_path, "[ica]\nq = eight\n"))
 
-    def test_bounds_enforced(self, tmp_path):
-        with pytest.raises(ValueError, match="p_crit"):
-            load_pipeline_config(_write(tmp_path, "[null]\np_crit = 1.5\n"))
-        with pytest.raises(ValueError, match="q"):
-            load_pipeline_config(_write(tmp_path, "[ica]\nq = 0\n"))
+    def test_bounds_are_left_to_the_config_classes(self, tmp_path):
+        # an out-of-range value parses; the subcommand that builds the
+        # section's config class rejects it (tests/test_cli.py)
+        cfg = load_pipeline_config(_write(tmp_path, "[null]\np_crit = 1.5\n"))
+        assert cfg["null"] == {"p_crit": 1.5}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailureError):

@@ -6,7 +6,6 @@ from raicarn.errors import RankDeficientError, ShapeMismatchError, ZeroVarianceE
 from raicarn.ica import (
     IcaConfig,
     center,
-    estimate_sources,
     fastica,
     pca_reduce,
     run_group_ica,
@@ -122,44 +121,6 @@ class TestFastica:
         assert _aligned_corrs(S, res.S).min() > 0.99
 
 
-class TestEstimateSources:
-    def test_zero_noise_exact(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((6, 2))
-        S = rng.standard_normal((2, 100))
-        mu = rng.standard_normal(6)
-        Y = mu[:, None] + A @ S
-        np.testing.assert_allclose(estimate_sources(Y, mu, A), S, atol=1e-10)
-
-    def test_orthonormal_columns_shortcut(self):
-        rng = np.random.default_rng(10)
-        A = np.linalg.qr(rng.standard_normal((5, 2)))[0]
-        mu = rng.standard_normal(5)
-        Y = mu[:, None] + rng.standard_normal((5, 50))
-        np.testing.assert_allclose(
-            estimate_sources(Y, mu, A), A.T @ (Y - mu[:, None]), atol=1e-10
-        )
-
-    def test_noise_covariance_matches_closed_form(self):
-        # oracle: cov(S_hat - S) = sigma^2 (A^T A)^-1, estimated over many
-        # independent noise columns
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((6, 2))
-        sigma = 0.5
-        n = 200_000
-        S = rng.standard_normal((2, n))
-        mu = np.zeros(6)
-        Y = A @ S + sigma * rng.standard_normal((6, n))
-        err = estimate_sources(Y, mu, A) - S
-        expected = sigma**2 * np.linalg.inv(A.T @ A)
-        np.testing.assert_allclose(err @ err.T / n, expected, atol=5e-3)
-
-    def test_rank_deficient_mixing(self):
-        A = np.ones((4, 2))
-        with pytest.raises(RankDeficientError):
-            estimate_sources(np.zeros((4, 10)), np.zeros(4), A)
-
-
 class TestZScale:
     def test_unit_sd_identity(self):
         S = np.arange(6.0).reshape(2, 3)
@@ -190,6 +151,16 @@ class TestRunSingleIca:
         Y = a[:, None] * S
         model = run_single_ica(Y, IcaConfig(q=1, seed=0))
         assert abs(np.corrcoef(S[0], model.S[0])[0, 1]) > 0.999
+
+    def test_sources_are_the_least_squares_estimate(self):
+        # A = basis sqrt(lambda) O^T makes (A^T A)^-1 A^T = O whitener, so
+        # the rotated whitened data already is the least-squares recovery
+        S = gen_sources(3, 2000, "laplacian", seed=18)
+        Y, _, _ = gen_mixture(S, p=9, sigma=0.3, seed=19)
+        model = run_single_ica(Y, IcaConfig(q=3, seed=0))
+        A = model.A
+        expected = np.linalg.solve(A.T @ A, A.T @ (Y - model.mu[:, None]))
+        np.testing.assert_allclose(model.S, expected, atol=1e-10)
 
     def test_determinism(self):
         S = gen_sources(2, 2000, "uniform", seed=16)
@@ -242,3 +213,8 @@ class TestIcaConfig:
     def test_bad_nonlinearity(self):
         with pytest.raises(ValueError):
             IcaConfig(q=2, nonlinearity="exp")
+
+    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}])
+    def test_bad_stopping_rule(self, bad):
+        with pytest.raises(ValueError):
+            IcaConfig(q=2, **bad)

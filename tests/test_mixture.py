@@ -9,6 +9,7 @@ from raicarn.mixture import (
     LABEL_NEGATIVE,
     LABEL_NULL,
     LABEL_POSITIVE,
+    MixtureConfig,
     MixtureFit,
     classify_voxels,
     fit_mixture,
@@ -150,6 +151,15 @@ class TestFitMixture:
         t, _ = group_tstat(normalize_maps(rc.maps[np.arange(20), labels[2]]))
         fit = fit_mixture(t)
         assert (np.diff(fit.loglik_trace) >= -1e-8).all()
+
+    def test_config_caps_iterations(self):
+        fit = fit_mixture(self._with_gamma(seed=7), MixtureConfig(max_iters=3, tol=1e-300))
+        assert len(fit.loglik_trace) == 3 and not fit.converged
+
+    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}])
+    def test_bad_config(self, bad):
+        with pytest.raises(ValueError):
+            MixtureConfig(**bad)
 
     def test_too_few_values(self):
         with pytest.raises(DegenerateDataError):
