@@ -205,6 +205,8 @@ def cmd_plan_groups(args) -> int:
 
 def cmd_mixture(args) -> int:
     cfg = mixture.MixtureConfig(**_settings(args, "mixture"))
+    if args.bins < 1:
+        raise UsageError(f"--bins must be >= 1, got {args.bins}")
     report = io.read_report(args.report)
     rc = io.load_runs(args.manifest)
     for mc in report.matched:

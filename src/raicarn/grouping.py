@@ -34,34 +34,38 @@ def max_group_size(N: int, alpha_max: float):
 class GroupPlan:
     N: int
     alpha_max: float
-    L: int
-    K: int
-    groups: tuple  # K tuples of L distinct zero-based subject indices
+    groups: tuple  # K tuples of L distinct zero-based subject indices; L, K derive from it
 
     def __post_init__(self):
-        if not 2 <= self.L <= self.N:
-            raise DomainError(f"need 2 <= L <= N, got L={self.L}, N={self.N}")
+        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
+        if not self.groups:
+            raise DomainError("a plan needs at least one group")
         if pair_probability(self.N, self.L) > self.alpha_max:
             raise DomainError("group size violates the co-occurrence cap")
         for g in self.groups:
             if len(set(g)) != self.L or min(g) < 0 or max(g) >= self.N:
-                raise DomainError("each group needs L distinct subjects in range")
-        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
+                raise DomainError(f"each group needs L = {self.L} distinct subjects in range")
+
+    @property
+    def L(self) -> int:
+        return len(self.groups[0])
+
+    @property
+    def K(self) -> int:
+        return len(self.groups)
+
+
+def _draw_groups(N: int, L: int, K: int, seed: int) -> tuple:
+    """K independent uniform L-subsets of N subjects; deterministic given the seed."""
+    rng = np.random.default_rng(seed)
+    return tuple(tuple(int(s) for s in rng.choice(N, size=L, replace=False)) for _ in range(K))
 
 
 def sample_groups(N: int, L: int, K: int, seed: int) -> GroupPlan:
     """Draw K uniform L-subsets of the N subjects, independently across
-    groups; deterministic given the seed."""
-    if not 2 <= L <= N:
-        raise DomainError(f"need 2 <= L <= N, got N={N}, L={L}")
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
-    rng = np.random.default_rng(seed)
-    groups = tuple(
-        tuple(int(s) for s in rng.choice(N, size=L, replace=False)) for _ in range(K)
-    )
-    alpha = pair_probability(N, L)
-    return GroupPlan(N=N, alpha_max=alpha, L=L, K=K, groups=groups)
+    groups; the cap recorded is their pair probability."""
+    alpha = pair_probability(N, L)  # DomainError unless 2 <= L <= N
+    return GroupPlan(N=N, alpha_max=alpha, groups=_draw_groups(N, L, K, seed))
 
 
 def plan_groups(N: int, alpha_max: float, K: int, seed: int) -> GroupPlan:
@@ -71,5 +75,4 @@ def plan_groups(N: int, alpha_max: float, K: int, seed: int) -> GroupPlan:
         raise DomainError(
             f"no group size satisfies the cap: pair_probability({N}, 2) > {alpha_max}"
         )
-    plan = sample_groups(N, L, K, seed)
-    return GroupPlan(N=N, alpha_max=alpha_max, L=L, K=K, groups=plan.groups)
+    return GroupPlan(N=N, alpha_max=alpha_max, groups=_draw_groups(N, L, K, seed))

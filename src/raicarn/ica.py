@@ -161,7 +161,7 @@ def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
     Yw = red.whitener @ Yc
     res = fastica(Yw, cfg)
     A = red.basis * np.sqrt(red.eigenvalues[: cfg.q]) @ res.O.T
-    return IcaModel(mu=mu, A=A, S=res.S, sigma2=red.sigma2, q=cfg.q,
+    return IcaModel(mu=mu, A=A, S=res.S, sigma2=red.sigma2,
                     converged=res.converged, n_iters=res.n_iters)
 
 

@@ -152,8 +152,9 @@ def write_report(report: ReproducibilityReport, path) -> None:
 def read_report(path) -> ReproducibilityReport:
     """Read back a report written by write_report (round-trip law). A
     missing key or a value that does not parse raises IoFailureError
-    naming the file and the key; values that do not form a valid report
-    raise IoFailureError naming the file."""
+    naming the file and the key; values that do not form a valid report,
+    or p-values that differ from those its null sample gives, raise
+    IoFailureError naming the file."""
     base = os.path.dirname(os.path.abspath(path))
     header = {}
     components = []
@@ -173,7 +174,8 @@ def read_report(path) -> ReproducibilityReport:
         except ValueError as e:
             raise IoFailureError(f"{path}: bad value for {key!r}: {e}") from e
 
-    null_sample = read_matrix(os.path.join(base, need(header, "null_sample")))[0]
+    null_path = os.path.join(base, need(header, "null_sample"))
+    null_sample = read_matrix(null_path)[0]
     p_crit = need(header, "p_crit", float)
     parsed = [
         (need(c, "members", _parse_members), need(c, "anchor", _parse_anchor),
@@ -183,9 +185,12 @@ def read_report(path) -> ReproducibilityReport:
     p = np.array([need(c, "p_value", float) for c in components])
     try:
         matched = tuple(MatchedComponent(*fields) for fields in parsed)
-        return ReproducibilityReport(matched, null_sample, p, p_crit, p < p_crit)
+        report = ReproducibilityReport(matched, null_sample, p_crit)
     except ValueError as e:
         raise IoFailureError(f"{path}: {e}") from e
+    if not np.array_equal(p, report.p_values):
+        raise IoFailureError(f"{path}: p-values do not follow from the null sample {null_path}")
+    return report
 
 
 def _parse_anchor(text):

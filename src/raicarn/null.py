@@ -28,7 +28,9 @@ from .raicar import (
     normalized_reproducibility,
     similarity_matrix,
 )
-from .types import Crcm, ReproducibilityReport, RunCollection
+# p_values is not called here; it stays bound because the benchmark's
+# tracer wraps null.p_values, and callers import it from this module.
+from .types import Crcm, ReproducibilityReport, RunCollection, p_values  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -82,31 +84,11 @@ def null_distribution(rc: RunCollection, G: Crcm, cfg: NullConfig) -> np.ndarray
     return np.concatenate(pool)
 
 
-def p_values(observed, null_pool) -> np.ndarray:
-    """p_i = (#{null >= observed_i} + 1) / (len(null_pool) + 1)."""
-    null_sorted = np.sort(np.asarray(null_pool, dtype=np.float64))
-    obs = np.asarray(observed, dtype=np.float64)
-    n = null_sorted.shape[0]
-    if n == 0:
-        raise ValueError("null pool must be non-empty")
-    count_ge = n - np.searchsorted(null_sorted, obs, side="left")
-    return (count_ge + 1.0) / (n + 1.0)
-
-
-def select_significant(p, p_crit: float) -> np.ndarray:
-    """Strict cutoff: significant iff p < p_crit."""
-    return np.asarray(p, dtype=np.float64) < p_crit
-
-
 def run_raicar_n(rc: RunCollection, cfg: NullConfig) -> ReproducibilityReport:
     """Full pipeline: correlation matrix, greedy matching, reproducibility,
-    permutation null, p-values, significance; sorted by descending
-    reproducibility."""
+    permutation null; the report derives p-values and significance. Sorted
+    by descending reproducibility."""
     G = compute_crcm(rc)
     del rc  # only the CRCM is read from here on: let the maps go before the null
     matched = sorted(match_and_score(G), key=lambda mc: -mc.reproducibility)
-    pool = null_distribution(None, G, cfg)
-    obs = np.array([mc.reproducibility for mc in matched])
-    p = p_values(obs, pool)
-    sig = select_significant(p, cfg.p_crit)
-    return ReproducibilityReport(tuple(matched), pool, p, cfg.p_crit, sig)
+    return ReproducibilityReport(tuple(matched), null_distribution(None, G, cfg), cfg.p_crit)

@@ -59,6 +59,8 @@ class PlantSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.K < 2 or self.n_C < 1 or self.n < 2:
+            raise DomainError(f"need K >= 2, n_C >= 1, n >= 2; got {self.K}, {self.n_C}, {self.n}")
         if not 0 <= self.n_planted <= self.n_C:
             raise DomainError(f"need 0 <= n_planted <= n_C, got {self.n_planted}")
         if not 0.0 < self.overlap <= 1.0:

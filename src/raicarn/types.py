@@ -1,8 +1,8 @@
 """Shared data model: runs, cross-correlation matrices, matches, reports.
 
 All containers are immutable after construction (arrays are marked
-read-only) and validate their invariants in ``__post_init__``, so a value
-that exists is a valid value.
+read-only), store only independent facts, and validate their invariants
+in ``__post_init__``, so a value that exists is a valid value.
 """
 
 import mmap
@@ -126,11 +126,6 @@ class Crcm:
             raise ValueError("correlation matrix must be symmetric")
         object.__setattr__(self, "signed", _freeze(signed))
 
-    @property
-    def full(self) -> np.ndarray:
-        """Absolute correlations, within-run blocks intact (a new array)."""
-        return np.abs(self.signed)
-
     @cached_property
     def row_order(self) -> np.ndarray:
         """Column indices of each row of |signed| in descending order of
@@ -174,37 +169,42 @@ class MatchedComponent:
         object.__setattr__(self, "reproducibility", float(self.reproducibility))
 
 
+def p_values(observed, null_pool) -> np.ndarray:
+    """p_i = (#{null >= observed_i} + 1) / (len(null_pool) + 1)."""
+    null_sorted = np.sort(np.asarray(null_pool, dtype=np.float64))
+    if null_sorted.size == 0:
+        raise ValueError("null pool must be non-empty")
+    count_ge = null_sorted.size - np.searchsorted(null_sorted, np.asarray(observed, np.float64))
+    return (count_ge + 1.0) / (null_sorted.size + 1.0)
+
+
 @dataclass(frozen=True)
 class ReproducibilityReport:
-    """Matched components sorted by descending reproducibility, with the
-    pooled null sample, p-values, and significance flags."""
+    """Matched components sorted by descending reproducibility and the
+    pooled null sample they are tested against; ``p_values`` derive from
+    the two once, and a component is significant iff its p < ``p_crit``."""
 
     matched: tuple
     null_sample: np.ndarray
-    p_values: np.ndarray
     p_crit: float
-    significant: np.ndarray
+    p_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not self.matched:
+            raise ValueError("a report needs at least one matched component")
+        if not 0.0 < self.p_crit < 1.0:
+            raise ValueError(f"p_crit must lie in (0, 1), got {self.p_crit}")
         reps = [mc.reproducibility for mc in self.matched]
         if any(b > a + 1e-12 for a, b in zip(reps, reps[1:])):
             raise ValueError("matched components must be sorted by descending reproducibility")
-        p = np.asarray(self.p_values, dtype=np.float64)
-        if p.shape != (len(self.matched),):
-            raise ValueError("one p-value per matched component required")
-        if (p <= 0).any() or (p > 1).any():
-            raise ValueError("p-values must lie in (0, 1]")
-        if any(b < a - 1e-15 for a, b in zip(p, p[1:])):
-            raise ValueError("p-values must be non-decreasing down the ranking")
-        sig = np.asarray(self.significant, dtype=bool)
-        if not np.array_equal(sig, p < self.p_crit):
-            raise ValueError("significance flags must equal p < p_crit")
         object.__setattr__(self, "matched", tuple(self.matched))
         object.__setattr__(self, "null_sample", _freeze(self.null_sample))
-        object.__setattr__(self, "p_values", _freeze(p))
-        sig = sig.copy()
-        sig.setflags(write=False)
-        object.__setattr__(self, "significant", sig)
+        object.__setattr__(self, "p_crit", float(self.p_crit))
+        object.__setattr__(self, "p_values", _freeze(p_values(reps, self.null_sample)))
+
+    @property
+    def significant(self) -> np.ndarray:
+        return self.p_values < self.p_crit
 
     @property
     def n_C(self) -> int:
@@ -223,7 +223,6 @@ class IcaModel:
     A: np.ndarray
     S: np.ndarray
     sigma2: float
-    q: int
     converged: bool = True
     n_iters: int = 0  # fixed-point iterations run
 
@@ -232,11 +231,12 @@ class IcaModel:
         S = np.asarray(self.S, dtype=np.float64)
         mu = np.asarray(self.mu, dtype=np.float64)
         p = mu.shape[0]
-        if A.shape != (p, self.q) or S.shape[0] != self.q:
+        if A.ndim != 2 or A.shape[0] != p or S.shape[0] != A.shape[1]:
             raise RaggedRunsError("inconsistent model shapes")
-        if not self.q < p:
-            raise RankDeficientError(f"model order q={self.q} must be < p={p}")
-        if np.linalg.matrix_rank(A) < self.q:
+        q = A.shape[1]
+        if not q < p:
+            raise RankDeficientError(f"model order q={q} must be < p={p}")
+        if np.linalg.matrix_rank(A) < q:
             raise RankDeficientError("mixing matrix is rank deficient")
         if self.sigma2 < 0:
             raise ValueError("noise variance must be non-negative")
@@ -245,3 +245,7 @@ class IcaModel:
         object.__setattr__(self, "mu", _freeze(mu))
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "S", _freeze(S))
+
+    @property
+    def q(self) -> int:
+        return self.A.shape[1]

@@ -110,7 +110,7 @@ def _exhaustive_best(G, K, n_C):
         total = 0.0
         for slot in range(n_C):
             idx = [r * n_C + alignment[r][slot] for r in range(K)]
-            H = G.full[np.ix_(idx, idx)].copy()
+            H = np.abs(G.signed)[np.ix_(idx, idx)].copy()
             np.fill_diagonal(H, 1.0)
             total += normalized_reproducibility(H)
         best = max(best, total)
@@ -141,7 +141,7 @@ def test_greedy_matching_vs_exhaustive_oracle():
         total = 0.0
         for members, _anchor in matched:
             idx = [r * n_C + c for r, c in members]
-            H = G.full[np.ix_(idx, idx)].copy()
+            H = np.abs(G.signed)[np.ix_(idx, idx)].copy()
             np.fill_diagonal(H, 1.0)
             total += normalized_reproducibility(H)
         if total >= _exhaustive_best(G, K, n_C) - 1e-9:

@@ -1,4 +1,5 @@
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,15 @@ class TestSimulate:
             "--n", "100", "--seed", "0", "--out", str(tmp_path / "x"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [("--K", "1"), ("--nc", "0"), ("--n", "1")])
+    def test_shape_below_bounds_is_usage_error(self, tmp_path, flag, value):
+        shape = {"--K": "4", "--nc": "3", "--n": "100", flag: value}
+        out = tmp_path / "x"
+        rc = main(["simulate", *(t for kv in shape.items() for t in kv),
+                   "--planted", "0", "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         _simulate(tmp_path / "a", seed=3)
@@ -263,6 +273,35 @@ class TestMixtureCommand:
         out = tmp_path / "mix"
         rc = main(["mixture", "--report", report, "--manifest", manifest, *flags, "--out", str(out)])
         assert rc == 2
+        assert not out.exists()
+
+    def test_bins_below_one_is_usage_error(self, tmp_path):
+        manifest, report = self._analysis(tmp_path)
+        out = tmp_path / "mix"
+        rc = main(["mixture", "--report", report, "--manifest", manifest,
+                   "--bins", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_swapped_null_sample_is_runtime_error(self, tmp_path, capsys):
+        manifest, report = self._analysis(tmp_path)
+        other = tmp_path / "rep_seed1"
+        assert main(["raicarn", manifest, "--R", "50", "--seed", "1", "--out", str(other)]) == 0
+        shutil.copyfile(other / "report.txt.null.rnm", report + ".null.rnm")
+        out = tmp_path / "mix"
+        rc = main(["mixture", "--report", report, "--manifest", manifest, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert report in err and "report.txt.null.rnm" in err
+
+    def test_report_without_components_is_runtime_error(self, tmp_path):
+        manifest, report = self._analysis(tmp_path)
+        text = Path(report).read_text()
+        Path(report).write_text(text[: text.index("[component]")])
+        out = tmp_path / "mix"
+        rc = main(["mixture", "--report", report, "--manifest", manifest, "--out", str(out)])
+        assert rc == 1
         assert not out.exists()
 
     def test_seed_is_optional_and_ignored(self, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from raicarn.errors import DomainError
 from raicarn.grouping import (
+    GroupPlan,
     max_group_size,
     pair_probability,
     plan_groups,
@@ -91,6 +92,24 @@ class TestSampleGroups:
             sample_groups(5, 6, 1, seed=0)
         with pytest.raises(DomainError):
             sample_groups(5, 3, 0, seed=0)
+
+
+class TestGroupPlan:
+    def test_sizes_are_read_off_the_groups(self):
+        plan = GroupPlan(N=10, alpha_max=0.5, groups=((0, 1, 2), (3, 4, 5)))
+        assert (plan.L, plan.K) == (3, 2)
+
+    def test_rejects_unequal_group_sizes(self):
+        with pytest.raises(DomainError, match="L = 3 distinct"):
+            GroupPlan(N=10, alpha_max=0.5, groups=((0, 1, 2), (3, 4)))
+
+    def test_rejects_no_groups(self):
+        with pytest.raises(DomainError, match="at least one group"):
+            GroupPlan(N=10, alpha_max=0.5, groups=())
+
+    def test_rejects_repeated_subject(self):
+        with pytest.raises(DomainError, match="distinct"):
+            GroupPlan(N=10, alpha_max=0.5, groups=((0, 1, 1),))
 
 
 class TestPlanGroups:

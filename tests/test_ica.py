@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from raicarn.errors import RankDeficientError, ShapeMismatchError, ZeroVarianceError
+from raicarn.errors import RaggedRunsError, RankDeficientError, ShapeMismatchError, ZeroVarianceError
 from raicarn.ica import (
     IcaConfig,
     center,
@@ -13,6 +13,7 @@ from raicarn.ica import (
     z_scale,
 )
 from raicarn.synth import gen_mixture, gen_sources
+from raicarn.types import IcaModel
 
 
 def _aligned_corrs(S_true, S_hat):
@@ -182,6 +183,23 @@ class TestRunSingleIca:
         Y, _, _ = gen_mixture(S, p=10, sigma=0.1, seed=21)
         model = run_single_ica(Y, IcaConfig(q=2, seed=0))
         assert model.sigma2 == pytest.approx(0.01, rel=0.2)
+
+
+class TestIcaModel:
+    def test_order_is_read_off_the_mixing_matrix(self):
+        S = gen_sources(2, 2000, "laplacian", seed=22)
+        Y, _, _ = gen_mixture(S, p=6, sigma=0.1, seed=23)
+        model = run_single_ica(Y, IcaConfig(q=2, seed=0))
+        assert model.q == model.A.shape[1] == model.S.shape[0] == 2
+        with pytest.raises(TypeError):
+            IcaModel(mu=model.mu, A=model.A, S=model.S, sigma2=model.sigma2, q=2)
+
+    def test_rejects_sources_that_do_not_match_the_mixing_matrix(self):
+        rng = np.random.default_rng(24)
+        S = rng.standard_normal((3, 50))
+        S -= S.mean(axis=1, keepdims=True)
+        with pytest.raises(RaggedRunsError):
+            IcaModel(mu=np.zeros(5), A=rng.standard_normal((5, 2)), S=S, sigma2=0.0)
 
 
 class TestRunGroupIca:

@@ -15,6 +15,9 @@ from raicarn.errors import (
     RaggedRunsError,
     ShapeMismatchError,
 )
+from raicarn.null import NullConfig, run_raicar_n
+from raicarn.synth import PlantSpec, planted_runset
+from raicarn.types import ReproducibilityReport
 
 
 class TestMatrixFormat:
@@ -144,17 +147,8 @@ class TestManifest:
 
 class TestReportFormat:
     def _report(self, n_C=2, K=3, null_len=200):
-        from raicarn.types import MatchedComponent, ReproducibilityReport
-
-        rng = np.random.default_rng(1)
-        reps = sorted(rng.random(n_C), reverse=True)
-        mcs = []
-        for i, rep in enumerate(reps):
-            members = tuple((r, (i + r) % n_C, 1 if r == 0 else -1) for r in range(K))
-            mcs.append(MatchedComponent(members, members[0][:2], rep))
-        null = rng.random(null_len)
-        p = np.sort(rng.uniform(0.01, 0.99, n_C))
-        return ReproducibilityReport(tuple(mcs), null, p, 0.05, p < 0.05)
+        rc, _ = planted_runset(PlantSpec(n=200, n_C=n_C, K=K, n_planted=1, seed=1))
+        return run_raicar_n(rc, NullConfig(R=null_len // n_C, seed=0))
 
     def test_round_trip(self, tmp_path):
         report = self._report()
@@ -173,11 +167,27 @@ class TestReportFormat:
         assert null.shape == (1, 200)
 
     def test_all_insignificant_is_valid(self, tmp_path):
-        from raicarn.types import ReproducibilityReport
-
         r = self._report()
-        p = np.array([0.5, 0.9])
-        r2 = ReproducibilityReport(r.matched, r.null_sample, p, 0.05, p < 0.05)
+        # every null value above every observed one: all p-values are 1
+        r2 = ReproducibilityReport(r.matched, r.null_sample + 2.0, 0.05)
         io.write_report(r2, tmp_path / "report.txt")
         back = io.read_report(tmp_path / "report.txt")
         assert not back.significant.any()
+
+    def test_p_value_not_following_from_the_null_is_rejected(self, tmp_path):
+        report = self._report()
+        path = tmp_path / "report.txt"
+        io.write_report(report, path)
+        p = float(report.p_values[0])
+        wrong = float(np.nextafter(p, 0.0))  # one ulp off, still a valid-looking p-value
+        path.write_text(path.read_text().replace(f"p_value = {p!r}", f"p_value = {wrong!r}", 1))
+        with pytest.raises(IoFailureError, match="report.txt.null.rnm"):
+            io.read_report(path)
+
+    def test_report_without_components_is_rejected(self, tmp_path):
+        path = tmp_path / "report.txt"
+        io.write_report(self._report(), path)
+        text = path.read_text()
+        path.write_text(text[: text.index("[component]")])
+        with pytest.raises(IoFailureError, match="at least one"):
+            io.read_report(path)

@@ -14,7 +14,6 @@ from raicarn.null import (
     p_values,
     permute_crcm,
     run_raicar_n,
-    select_significant,
 )
 from raicarn.raicar import (
     _greedy,
@@ -25,7 +24,7 @@ from raicarn.raicar import (
     similarity_matrix,
 )
 from raicarn.synth import PlantSpec, planted_runset
-from raicarn.types import Crcm, RunCollection
+from raicarn.types import Crcm, MatchedComponent, ReproducibilityReport, RunCollection
 
 
 def _random_rc(K, n_C, n, seed):
@@ -37,7 +36,7 @@ def _cross_run(G):
     """Absolute correlations between components of different runs, in
     row-major order."""
     runs = np.repeat(np.arange(G.K), G.n_C)
-    return G.full[runs[:, None] != runs]
+    return np.abs(G.signed)[runs[:, None] != runs]
 
 
 def _relabeled(rc, g):
@@ -70,8 +69,8 @@ class TestPermuteCrcm:
         G_direct = compute_crcm(_relabeled(rc, g))
         np.testing.assert_allclose(Gp.signed, G_direct.signed, atol=1e-12)
         # the formerly within-run pair (0,0)-(0,1) is now across runs
-        assert Gp.full[0, 2] == G.full[0, 1]
-        assert G.full[0, 1] in _cross_run(Gp) and G.full[0, 1] not in _cross_run(G)
+        assert np.abs(Gp.signed)[0, 2] == np.abs(G.signed)[0, 1]
+        assert np.abs(G.signed)[0, 1] in _cross_run(Gp) and np.abs(G.signed)[0, 1] not in _cross_run(G)
 
     def test_invalid_permutation(self):
         # permute_crcm and the relabelled matcher share one check
@@ -111,7 +110,7 @@ def _dense_greedy(G):
     K, n_C = G.K, G.n_C
     N = K * n_C
     runs = np.arange(K)
-    W = G.full
+    W = np.abs(G.signed)
     W.reshape(K, n_C, K, n_C)[runs, :, runs, :] = 0.0
     free = np.ones((K, n_C), dtype=bool)
     matched = []
@@ -315,14 +314,26 @@ class TestPValues:
 
 
 class TestSelectSignificant:
+    """A report's components are significant iff p < p_crit, strictly."""
+
+    def _report(self, reps, null):
+        mcs = tuple(MatchedComponent(((0, 0, 1), (1, 0, 1)), (0, 0), r) for r in reps)
+        return ReproducibilityReport(mcs, np.asarray(null, dtype=np.float64), 0.05)
+
     def test_boundary_not_significant(self):
-        assert not select_significant([0.05], 0.05)[0]
+        report = self._report([0.9], np.full(19, 0.5))  # p = 1/20
+        assert report.p_values[0] == 0.05
+        assert not report.significant[0]
 
     def test_just_below_significant(self):
-        assert select_significant([0.049], 0.05)[0]
+        report = self._report([0.9], np.full(20, 0.5))  # p = 1/21
+        assert report.p_values[0] < 0.05
+        assert report.significant[0]
 
     def test_all_ones_false(self):
-        assert not select_significant([1.0, 1.0], 0.05).any()
+        report = self._report([0.1, 0.1], np.full(19, 0.5))
+        np.testing.assert_array_equal(report.p_values, [1.0, 1.0])
+        assert not report.significant.any()
 
 
 class TestRunRaicarN:

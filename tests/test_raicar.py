@@ -39,7 +39,7 @@ class TestComputeCrcm:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(50)
         rc = RunCollection(np.array([[x], [-x]]))
-        assert compute_crcm(rc).full[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(compute_crcm(rc).signed)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_hand_computed_correlations(self):
         # oracle: direct covariance-formula evaluation
@@ -47,7 +47,7 @@ class TestComputeCrcm:
         G = compute_crcm(rc)
         for i, j in itertools.product(range(2), range(2)):
             expected = _hand_corr(rc.maps[0, i], rc.maps[1, j])
-            assert G.full[i, 2 + j] == pytest.approx(expected, abs=1e-12)
+            assert np.abs(G.signed)[i, 2 + j] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_variance_map_correlates_zero(self):
         rng = np.random.default_rng(4)
@@ -69,7 +69,7 @@ def _exhaustive_best(rc):
         for slot in range(n_C):
             members = [(r, alignment[r][slot]) for r in range(K)]
             idx = [r * n_C + c for r, c in members]
-            H = G.full[np.ix_(idx, idx)]
+            H = np.abs(G.signed)[np.ix_(idx, idx)]
             total += normalized_reproducibility(
                 H + np.eye(K) - np.diag(np.diag(H))
             )

@@ -88,7 +88,7 @@ class TestPlantedRunset:
         rc, labels = planted_runset(PlantSpec(n=300, n_C=3, K=4, n_planted=0, seed=11))
         assert labels == []
         runs = np.repeat(np.arange(4), 3)
-        cross = compute_crcm(rc).full[runs[:, None] != runs]
+        cross = np.abs(compute_crcm(rc).signed)[runs[:, None] != runs]
         assert cross.max() < 0.5  # nothing reproducible among fillers
 
     def test_pairwise_overlap_calibration(self):

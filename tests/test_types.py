@@ -67,8 +67,9 @@ class TestCrcm:
         m[0, 1] = m[1, 0] = 0.3  # within run 0
         m[0, 2] = m[2, 0] = -0.7  # across runs
         G = Crcm(2, 2, m)
-        np.testing.assert_array_equal(G.full, np.abs(m))
         np.testing.assert_array_equal(G.signed, m)
+        # row 0 of |m| is [1, 0.3, 0.7, 0]
+        np.testing.assert_array_equal(G.row_order[0], [0, 2, 1, 3])
 
     def test_row_order_sorts_each_row_once(self):
         # 600 rows span two of the sort's row chunks
@@ -80,7 +81,7 @@ class TestCrcm:
         assert order.dtype == np.int16 and not order.flags.writeable
         assert G.row_order is order  # computed once per matrix
         np.testing.assert_array_equal(np.sort(order, axis=1), np.broadcast_to(np.arange(600), (600, 600)))
-        ranked = np.take_along_axis(G.full, order.astype(np.int64), axis=1)
+        ranked = np.take_along_axis(np.abs(G.signed), order.astype(np.int64), axis=1)
         assert (np.diff(ranked, axis=1) <= 0).all()
 
 
@@ -110,14 +111,29 @@ class TestReport:
     def _mc(self, rep):
         return MatchedComponent(((0, 0, 1), (1, 0, 1)), (0, 0), rep)
 
-    def test_flags_must_match_pvalues(self):
-        mcs = (self._mc(0.9), self._mc(0.1))
-        p = np.array([0.01, 0.5])
-        with pytest.raises(ValueError):
-            ReproducibilityReport(mcs, np.array([0.1]), p, 0.05, np.array([False, False]))
-
     def test_ordering_enforced(self):
         mcs = (self._mc(0.1), self._mc(0.9))
-        p = np.array([0.5, 0.01])
-        with pytest.raises(ValueError):
-            ReproducibilityReport(mcs, np.array([0.1]), p, 0.05, np.array([False, True]))
+        with pytest.raises(ValueError, match="descending"):
+            ReproducibilityReport(mcs, np.array([0.1]), 0.05)
+
+    def test_p_values_and_flags_derive_from_the_null_sample(self):
+        # oracle: 0 and 2 of the 4 null values are >= 0.9 and >= 0.5
+        null = np.array([0.2, 0.4, 0.6, 0.8])
+        report = ReproducibilityReport((self._mc(0.9), self._mc(0.5)), null, 0.3)
+        np.testing.assert_array_equal(report.p_values, [1 / 5, 3 / 5])
+        np.testing.assert_array_equal(report.significant, [True, False])
+        assert not report.p_values.flags.writeable
+        assert not report.null_sample.flags.writeable
+
+    def test_needs_a_component(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ReproducibilityReport((), np.array([0.1]), 0.05)
+
+    def test_needs_a_null_sample(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ReproducibilityReport((self._mc(0.5),), np.array([]), 0.05)
+
+    @pytest.mark.parametrize("p_crit", [0.0, 1.0, -0.1, 1.5])
+    def test_p_crit_must_lie_in_the_open_unit_interval(self, p_crit):
+        with pytest.raises(ValueError, match="p_crit"):
+            ReproducibilityReport((self._mc(0.5),), np.array([0.1]), p_crit)
