@@ -153,8 +153,8 @@ def read_report(path) -> ReproducibilityReport:
     """Read back a report written by write_report (round-trip law). A
     missing key or a value that does not parse raises IoFailureError
     naming the file and the key; values that do not form a valid report,
-    or p-values that differ from those its null sample gives, raise
-    IoFailureError naming the file."""
+    or p-values and significance flags that differ from those its null
+    sample gives, raise IoFailureError naming the file."""
     base = os.path.dirname(os.path.abspath(path))
     header = {}
     components = []
@@ -183,6 +183,7 @@ def read_report(path) -> ReproducibilityReport:
         for c in components
     ]
     p = np.array([need(c, "p_value", float) for c in components])
+    flags = np.array([need(c, "significant", _parse_flag) for c in components])
     try:
         matched = tuple(MatchedComponent(*fields) for fields in parsed)
         report = ReproducibilityReport(matched, null_sample, p_crit)
@@ -190,7 +191,15 @@ def read_report(path) -> ReproducibilityReport:
         raise IoFailureError(f"{path}: {e}") from e
     if not np.array_equal(p, report.p_values):
         raise IoFailureError(f"{path}: p-values do not follow from the null sample {null_path}")
+    if not np.array_equal(flags, report.significant):
+        raise IoFailureError(f"{path}: significance flags do not follow from p_value < p_crit")
     return report
+
+
+def _parse_flag(text):
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 def _parse_anchor(text):

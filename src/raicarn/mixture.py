@@ -33,7 +33,7 @@ def normalize_empirical(values) -> np.ndarray:
     if m < 2:
         raise DegenerateDataError("need at least 2 values per location")
     ranks = stats.rankdata(v, method="average", axis=-1)
-    return stats.norm.ppf((ranks - 0.5) / m)
+    return special.ndtri((ranks - 0.5) / m)
 
 
 def normalize_maps(maps) -> np.ndarray:
@@ -118,23 +118,25 @@ def _tail_supports(x, shift_pos, shift_neg):
 
 
 def _class_logpdfs(x, t_params, gammas, supports):
-    """Class log densities, columns (t, Gamma+, Gamma-); -inf off a Gamma's support."""
-    lp = np.full((x.shape[0], 3), -np.inf)
-    lp[:, 0] = _t_logpdf(x, *t_params)
+    """Class log densities, rows (t, Gamma+, Gamma-); -inf off a Gamma's support."""
+    lp = np.full((3, x.shape[0]), -np.inf)
+    lp[0] = _t_logpdf(x, *t_params)
     for k, ((shape, rate, _), (pos, y, logy)) in enumerate(zip(gammas, supports), start=1):
-        lp[pos, k] = shape * np.log(rate) - special.gammaln(shape) + (shape - 1) * logy - rate * y
+        lp[k, pos] = shape * np.log(rate) - special.gammaln(shape) + (shape - 1) * logy - rate * y
     return lp
 
 
 def _posterior(lp, weights):
-    """E-step: (log-likelihood, class posteriors) of class log densities."""
+    """E-step: (log-likelihood, class posteriors) of class log densities,
+    class-major; works in place on lp."""
     with np.errstate(divide="ignore"):
-        joint = lp + np.log(weights)[None, :]
-    mx = joint.max(axis=1)
-    resp = np.exp(joint - mx[:, None])
-    dens = resp.sum(axis=1)
-    resp /= dens[:, None]
-    return float((mx + np.log(dens)).sum()), resp
+        lp += np.log(weights)[:, None]
+    mx = np.maximum(np.maximum(lp[0], lp[1]), lp[2])
+    lp -= mx
+    r = np.exp(lp, out=lp)
+    dens = (r[0] + r[1]) + r[2]
+    r /= dens
+    return float((mx + np.log(dens)).sum()), r
 
 
 def _weighted_gamma_mle(y, logy, w):
@@ -222,12 +224,13 @@ def fit_mixture(t_map, cfg: MixtureConfig = MixtureConfig()) -> MixtureFit:
             converged = True
             break
 
-        weights = resp.mean(axis=0)
+        # adds each row in order; a pairwise resp.sum(axis=1) would change the bits
+        weights = np.cumsum(resp, axis=1)[:, -1] / n
         if weights[0] > _WEIGHT_FREEZE:
-            t_params = _update_t(x, resp[:, 0], t_params, refit_dof=it % _DOF_CADENCE == 0)
+            t_params = _update_t(x, resp[0], t_params, refit_dof=it % _DOF_CADENCE == 0)
         for k in (1, 2):
             if weights[k] > _WEIGHT_FREEZE:
-                gammas[k - 1] = _update_gamma(supports[k - 1], resp[:, k], gammas[k - 1])
+                gammas[k - 1] = _update_gamma(supports[k - 1], resp[k], gammas[k - 1])
 
     return MixtureFit(
         weights=tuple(weights),
@@ -281,9 +284,10 @@ def _fit_logpdfs(fit: MixtureFit, x):
 
 def responsibilities(fit: MixtureFit, t_map) -> np.ndarray:
     """Posterior class probabilities, one row per location, columns
-    (t, positive, negative); rows sum to 1."""
+    (t, positive, negative); rows sum to 1. A transposed view of the
+    class-major posteriors, so each column is contiguous."""
     x = np.asarray(t_map, dtype=np.float64).ravel()
-    return _posterior(_fit_logpdfs(fit, x), np.asarray(fit.weights))[1]
+    return _posterior(_fit_logpdfs(fit, x), np.asarray(fit.weights))[1].T
 
 
 def classify_voxels(fit: MixtureFit, t_map) -> np.ndarray:
@@ -303,5 +307,5 @@ def histogram_data(fit: MixtureFit, t_map, bins: int = 100) -> np.ndarray:
     x = np.asarray(t_map, dtype=np.float64).ravel()
     counts, edges = np.histogram(x, bins=bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    dens = np.exp(_fit_logpdfs(fit, centers)) * np.asarray(fit.weights)[None, :]
-    return np.vstack([edges[:-1], edges[1:], counts.astype(np.float64), dens.T])
+    dens = np.exp(_fit_logpdfs(fit, centers)) * np.asarray(fit.weights)[:, None]
+    return np.vstack([edges[:-1], edges[1:], counts.astype(np.float64), dens])

@@ -295,6 +295,18 @@ class TestMixtureCommand:
         err = capsys.readouterr().err
         assert report in err and "report.txt.null.rnm" in err
 
+    def test_flipped_significance_flag_is_runtime_error(self, tmp_path, capsys):
+        manifest, report = self._analysis(tmp_path)
+        text = Path(report).read_text()
+        rank1 = text.index("[component]")
+        assert "significant = true" in text[rank1:text.index("[component]", rank1 + 1)]
+        Path(report).write_text(text.replace("significant = true", "significant = false", 1))
+        out = tmp_path / "mix"
+        rc = main(["mixture", "--report", report, "--manifest", manifest, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert report in capsys.readouterr().err
+
     def test_report_without_components_is_runtime_error(self, tmp_path):
         manifest, report = self._analysis(tmp_path)
         text = Path(report).read_text()

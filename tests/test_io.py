@@ -184,6 +184,27 @@ class TestReportFormat:
         with pytest.raises(IoFailureError, match="report.txt.null.rnm"):
             io.read_report(path)
 
+    def _with_first_flag(self, tmp_path, flag=None):
+        """A written report with rank 1's significance flag replaced by
+        flag (default: its negation)."""
+        report = self._report()
+        path = tmp_path / "report.txt"
+        io.write_report(report, path)
+        old = "true" if report.significant[0] else "false"
+        if flag is None:
+            flag = "false" if report.significant[0] else "true"
+        path.write_text(path.read_text().replace(f"significant = {old}", f"significant = {flag}", 1))
+        return path
+
+    def test_flipped_significance_flag_is_rejected(self, tmp_path):
+        with pytest.raises(IoFailureError, match="significance flags"):
+            io.read_report(self._with_first_flag(tmp_path))
+
+    @pytest.mark.parametrize("flag", ["True", "1", "yes", ""])
+    def test_garbled_significance_flag_is_rejected(self, tmp_path, flag):
+        with pytest.raises(IoFailureError, match="'significant'"):
+            io.read_report(self._with_first_flag(tmp_path, flag))
+
     def test_report_without_components_is_rejected(self, tmp_path):
         path = tmp_path / "report.txt"
         io.write_report(self._report(), path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,3 +227,47 @@ class TestClassification:
             assert on.any() and not on.all()
             assert (row[~on] == 0.0).all()
             assert (row[on] > 0.0).all()
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    # one planted component at the acceptance-test shape, through the same
+    # normalize -> t-map -> fit -> classify/histogram path as `mixture`; any
+    # change to the E-step's arithmetic order changes these bytes
+    @pytest.fixture(scope="class")
+    def planted(self):
+        rc, labels = planted_runset(PlantSpec(n=2000, n_C=8, K=20, n_planted=3, seed=1))
+        normalized = normalize_maps(rc.maps[np.arange(20), labels[0]])
+        t, _ = group_tstat(normalized)
+        return normalized, t, fit_mixture(t)
+
+    def test_normalize_maps_digest_is_pinned(self, planted):
+        assert _digest(planted[0]) == (
+            "eec89f40dc28e7bbd2b72b2e6c218d0d11508ca521be0e2d51cbe3b5f537934f"
+        )
+
+    def test_fit_digest_is_pinned(self, planted):
+        _, _, fit = planted
+        params = np.array([*fit.weights, *fit.t_params, *fit.gamma_pos, *fit.gamma_neg])
+        assert (len(fit.loglik_trace), fit.converged) == (412, True)
+        assert _digest(params, fit.loglik_trace) == (
+            "0e639ba9e4399e599ce91d9b9359d20a97817a4a7ea0fc1282f2a48697c2751b"
+        )
+
+    def test_labels_responsibilities_and_histogram_digests_are_pinned(self, planted):
+        _, t, fit = planted
+        assert _digest(classify_voxels(fit, t)) == (
+            "3eb36906f3b84ba86f4e5440656287cc4abc3c6a2e000a3e26300d2aad40d48c"
+        )
+        assert _digest(responsibilities(fit, t)) == (
+            "c1b65eedb920d36f8b8924714d941b26c11f0480e5427f143814493421623131"
+        )
+        assert _digest(histogram_data(fit, t)) == (
+            "d5a969bcd967300f12fd1ac2b6fc508469391c736e323cbc52452e2ea6100089"
+        )
