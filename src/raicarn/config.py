@@ -30,7 +30,7 @@ def load_pipeline_config(path) -> dict:
             parser.read_file(f)
     except OSError as e:
         raise IoFailureError(str(e)) from e
-    except configparser.Error as e:
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ValueError(f"{path}: {e}") from e
 
     out = {name: {} for name in SECTION_KEYS}

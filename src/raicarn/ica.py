@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDataError,
+    NonFiniteError,
     RankDeficientError,
     ShapeMismatchError,
     ZeroVarianceError,
@@ -50,10 +51,6 @@ class PcaReduction:
     sigma2: float
     whitener: np.ndarray  # q x p
 
-    @property
-    def q(self) -> int:
-        return self.basis.shape[1]
-
 
 @dataclass(frozen=True)
 class FastIcaResult:
@@ -68,6 +65,8 @@ def center(Y):
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[1] < 2:
         raise DegenerateDataError("need a p x n matrix with n >= 2")
+    if not np.isfinite(Y).all():
+        raise NonFiniteError("data matrix contains non-finite values")
     mu = Y.mean(axis=1)
     return mu, Y - mu[:, None]
 

@@ -151,10 +151,11 @@ def write_report(report: ReproducibilityReport, path) -> None:
 
 def read_report(path) -> ReproducibilityReport:
     """Read back a report written by write_report (round-trip law). A
-    missing key or a value that does not parse raises IoFailureError
-    naming the file and the key; values that do not form a valid report,
-    or p-values and significance flags that differ from those its null
-    sample gives, raise IoFailureError naming the file."""
+    missing key, a value that does not parse, or a header ``n_C`` or ``K``
+    that the components disagree with raises IoFailureError naming the
+    file and the key; values that do not form a valid report, or p-values
+    and significance flags that differ from those its null sample gives,
+    raise IoFailureError naming the file."""
     base = os.path.dirname(os.path.abspath(path))
     header = {}
     components = []
@@ -174,6 +175,7 @@ def read_report(path) -> ReproducibilityReport:
         except ValueError as e:
             raise IoFailureError(f"{path}: bad value for {key!r}: {e}") from e
 
+    n_C, K = need(header, "n_C", int), need(header, "K", int)
     null_path = os.path.join(base, need(header, "null_sample"))
     null_sample = read_matrix(null_path)[0]
     p_crit = need(header, "p_crit", float)
@@ -189,6 +191,10 @@ def read_report(path) -> ReproducibilityReport:
         report = ReproducibilityReport(matched, null_sample, p_crit)
     except ValueError as e:
         raise IoFailureError(f"{path}: {e}") from e
+    if n_C != report.n_C:
+        raise IoFailureError(f"{path}: header 'n_C' = {n_C}, but {report.n_C} components follow")
+    if any(len(mc.members) != K for mc in matched):
+        raise IoFailureError(f"{path}: header 'K' = {K} does not match the members' run count")
     if not np.array_equal(p, report.p_values):
         raise IoFailureError(f"{path}: p-values do not follow from the null sample {null_path}")
     if not np.array_equal(flags, report.significant):
@@ -235,6 +241,8 @@ def _read_kv(path, section_key=None):
             raw = f.read()
     except OSError as e:
         raise IoFailureError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise IoFailureError(f"{path}: not a text file ({e})") from e
     for line in raw.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):

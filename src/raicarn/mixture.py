@@ -24,31 +24,22 @@ _SHIFT_QUANTILE = 0.90
 _DOF_CADENCE = 10
 
 
-def normalize_empirical(values) -> np.ndarray:
-    """Map the m values along the last axis to standard normal quantiles at
-    (rank - 0.5) / m, with average ranks on ties; a constant vector maps to
-    zeros."""
-    v = np.asarray(values, dtype=np.float64)
-    m = v.shape[-1]
-    if m < 2:
-        raise DegenerateDataError("need at least 2 values per location")
-    ranks = stats.rankdata(v, method="average", axis=-1)
-    return special.ndtri((ranks - 0.5) / m)
-
-
 def normalize_maps(maps) -> np.ndarray:
-    """Row-wise empirical normalization of a K x n stack: each map's values
-    are rank-transformed to standard normal quantiles over its n locations,
-    so cross-map agreement at a location survives the transform.
+    """Row-wise empirical normalization of a K x n stack: each map's m
+    values are mapped to standard normal quantiles at (rank - 0.5) / m over
+    its own locations, with average ranks on ties (a constant map maps to
+    zeros), so cross-map agreement at a location survives the transform.
 
     (Normalizing per location across only K maps would send every column to
     a permutation of the same quantile multiset, making group means
     identically zero.)
     """
-    maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 2:
-        raise DegenerateDataError("expected a K x n matrix")
-    return normalize_empirical(maps)
+    v = np.asarray(maps, dtype=np.float64)
+    m = v.shape[-1]
+    if m < 2:
+        raise DegenerateDataError("need at least 2 values per map")
+    ranks = stats.rankdata(v, method="average", axis=-1)
+    return special.ndtri((ranks - 0.5) / m)
 
 
 def group_tstat(aligned_maps):
@@ -226,11 +217,13 @@ def fit_mixture(t_map, cfg: MixtureConfig = MixtureConfig()) -> MixtureFit:
 
         # adds each row in order; a pairwise resp.sum(axis=1) would change the bits
         weights = np.cumsum(resp, axis=1)[:, -1] / n
+        # a class above _WEIGHT_FREEZE holds over 1e-4 of posterior mass (n >= 100),
+        # and a Gamma's mass lies on its support, so no update divides by zero
         if weights[0] > _WEIGHT_FREEZE:
             t_params = _update_t(x, resp[0], t_params, refit_dof=it % _DOF_CADENCE == 0)
-        for k in (1, 2):
+        for k, ((pos, y, logy), shift) in enumerate(zip(supports, shifts), start=1):
             if weights[k] > _WEIGHT_FREEZE:
-                gammas[k - 1] = _update_gamma(supports[k - 1], resp[k], gammas[k - 1])
+                gammas[k - 1] = (*_weighted_gamma_mle(y, logy, resp[k][pos]), shift)
 
     return MixtureFit(
         weights=tuple(weights),
@@ -257,8 +250,6 @@ def _update_t(x, r, t_params, refit_dof=False):
     which is itself a conditional maximization and keeps the EM monotone."""
     loc, scale, dof = t_params
     rsum = r.sum()
-    if rsum <= 0:
-        return t_params
     z2 = ((x - loc) / scale) ** 2
     u = np.ones_like(x) if np.isinf(dof) else (dof + 1.0) / (dof + z2)
     ru = r * u
@@ -266,15 +257,6 @@ def _update_t(x, r, t_params, refit_dof=False):
     scale_new = float(np.sqrt(max(np.dot(ru, (x - loc_new) ** 2) / rsum, 1e-300)))
     dof_new = _select_dof(x, loc_new, scale_new, weights=r) if refit_dof else dof
     return (loc_new, scale_new, dof_new)
-
-
-def _update_gamma(support, r, params):
-    """Weighted Gamma shape/rate update with the shift held fixed."""
-    pos, y, logy = support
-    w = r[pos]
-    if w.sum() <= 1e-12:
-        return params
-    return (*_weighted_gamma_mle(y, logy, w), params[2])
 
 
 def _fit_logpdfs(fit: MixtureFit, x):

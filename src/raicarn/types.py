@@ -79,24 +79,14 @@ class RunCollection:
 
 
 def validate_run_collection(runs) -> RunCollection:
-    """Build a RunCollection from nested lists/arrays, checking shape and
-    finiteness; a float64 (K, n_C, n) array is frozen in place, not copied.
-    Raises RaggedRunsError / NonFiniteError / TooFewRunsError."""
-    if len(runs) < 2:
-        raise TooFewRunsError(f"need at least 2 runs, got {len(runs)}")
-    if isinstance(runs, np.ndarray) and runs.ndim == 3:
-        return RunCollection(runs)
-    per_run = []
-    for r, run in enumerate(runs):
-        maps = [np.asarray(m, dtype=np.float64) for m in run]
-        if any(m.ndim != 1 for m in maps):
-            raise RaggedRunsError(f"run {r + 1} contains a non-vector map")
-        per_run.append(maps)
-    n_C = len(per_run[0])
-    lengths = {m.shape[0] for run in per_run for m in run}
-    if any(len(run) != n_C for run in per_run) or len(lengths) != 1:
-        raise RaggedRunsError("all runs must share n_C and map length n")
-    return RunCollection(np.array([np.stack(run) for run in per_run]))
+    """Build a RunCollection from nested lists or an array, checking shape
+    and finiteness; a float64 (K, n_C, n) array is frozen in place, not
+    copied. Raises RaggedRunsError / NonFiniteError / TooFewRunsError."""
+    try:
+        maps = np.asarray(runs, dtype=np.float64)
+    except ValueError as e:
+        raise RaggedRunsError(f"all runs must share n_C and map length n: {e}") from e
+    return RunCollection(maps)
 
 
 @dataclass(frozen=True)

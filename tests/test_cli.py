@@ -1,5 +1,8 @@
+import hashlib
 import os
+import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,11 @@ def _ica_data(tmp_path, seed=0, p=10, n=1500):
 
 def _same_bytes(a, b):
     return Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def _write_unchecked(Y, path):
+    """An .rnm file holding Y as given; write_matrix would refuse non-finite values."""
+    Path(path).write_bytes(struct.pack("<4sII", io.MAGIC, *Y.shape) + Y.astype("<f8").tobytes())
 
 
 class TestSimulate:
@@ -115,6 +123,18 @@ class TestIca:
         rc = main(["ica", str(tmp_path / "gone.rnm"), "--q", "2", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("group", [[], ["--group"]])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_is_runtime_error(self, tmp_path, capsys, group, value):
+        Y = io.read_matrix(_ica_data(tmp_path))
+        Y[4, 7] = value
+        _write_unchecked(Y, tmp_path / "bad.rnm")
+        out = tmp_path / "o"
+        rc = main(["ica", str(tmp_path / "bad.rnm"), *group, "--q", "3", "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
     def test_config_supplies_defaults(self, tmp_path):
         data = _ica_data(tmp_path, seed=7)
         cfg = tmp_path / "p.cfg"
@@ -158,6 +178,14 @@ class TestConfigFile:
                    "--manifest", str(tmp_path / "absent.txt"), "--config", str(cfg),
                    "--out", str(tmp_path / "m")])
         assert rc == 2
+
+    def test_non_text_file_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_bytes(b"[null]\nR = \xa0\n")
+        rc = main(["raicarn", str(tmp_path / "absent.txt"), "--config", str(cfg), "--seed", "1",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert str(cfg) in capsys.readouterr().err
 
     def test_section_read_by_another_subcommand_is_not_checked(self, tmp_path):
         manifest = _simulate(tmp_path / "sim", seed=14)
@@ -370,6 +398,31 @@ class TestMixtureCommand:
         err = capsys.readouterr().err
         assert report in err and f"bad value for {key!r}" in err
 
+    @pytest.mark.parametrize("flag", ["--report", "--manifest"])
+    def test_non_text_input_is_runtime_error(self, tmp_path, capsys, flag):
+        manifest, report = self._analysis(tmp_path)
+        files = {"--report": report, "--manifest": manifest}
+        files[flag] = os.path.join(os.path.dirname(manifest), "run00.rnm")
+        out = tmp_path / "mix"
+        rc = main(["mixture", *(t for kv in files.items() for t in kv), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert files[flag] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("n_C", "9"), ("K", "7")])
+    def test_header_disagreeing_with_components_is_runtime_error(self, tmp_path, capsys, key, value):
+        manifest, report = self._analysis(tmp_path)  # K = 8 runs of n_C = 3
+        text = Path(report).read_text()
+        edited = re.sub(rf"^{key} = \d+$", f"{key} = {value}", text, count=1, flags=re.M)
+        assert edited != text
+        Path(report).write_text(edited)
+        out = tmp_path / "mix"
+        rc = main(["mixture", "--report", report, "--manifest", manifest, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert report in err and f"{key!r}" in err
+
     def test_manifest_with_fewer_components_is_runtime_error(self, tmp_path):
         _manifest, report = self._analysis(tmp_path)
         other = _simulate(tmp_path / "other", seed=24, K=8, nc=2, n=2000)
@@ -386,3 +439,104 @@ class TestMixtureCommand:
                    "--manifest", other, "--seed", "0", "--out", str(tmp_path / "mix")])
         assert rc == 1
         assert not (tmp_path / "mix").exists()
+
+
+class TestRejections:
+    """Bad input that reaches the command line exits 1 (runtime or I/O) or
+    2 (usage) with a one-line error, never a traceback."""
+
+    @staticmethod
+    def _argv(tmp_path, case):
+        sim = tmp_path / "sim"
+        manifest = _simulate(sim, K=4, nc=2, planted=1, n=200)
+        bad = sim / "bad.txt"
+        runs = "run = run00.rnm\nrun = run01.rnm\n"
+        raicarn = ["raicarn", str(bad), "--R", "5", "--seed", "1"]
+        if case == "truncated matrix header":
+            (sim / "run01.rnm").write_bytes(io.MAGIC + bytes(3))
+            return ["raicarn", manifest, "--R", "5", "--seed", "1"]
+        if case == "unknown manifest key":
+            bad.write_text(runs + "colour = red\n")
+            return raicarn
+        if case == "manifest without runs":
+            bad.write_text("# no runs\nmask = mask.rnm\n")
+            return raicarn
+        if case == "mask of two rows":
+            io.write_matrix(np.ones((2, 200)), sim / "mask.rnm")
+            bad.write_text(runs + "mask = mask.rnm\n")
+            return raicarn
+        if case == "line without '='":
+            bad.write_text(runs + "run02.rnm\n")
+            return raicarn
+        if case == "member sign not + or -":
+            assert main(["raicarn", manifest, "--R", "5", "--seed", "1", "--out", str(tmp_path / "rep")]) == 0
+            report = tmp_path / "rep" / "report.txt"
+            text = report.read_text()
+            edited = re.sub(r"^(members = \d+:\d+):[+-]", r"\1:*", text, count=1, flags=re.M)
+            assert edited != text
+            report.write_text(edited)
+            return ["mixture", "--report", str(report), "--manifest", manifest]
+        if case == "ica without --q":
+            return ["ica", str(sim / "run00.rnm"), "--seed", "1"]
+        raise AssertionError(case)
+
+    @pytest.mark.parametrize("case, code, says", [
+        ("truncated matrix header", 1, "truncated header"),
+        ("unknown manifest key", 1, "unknown manifest key 'colour'"),
+        ("manifest without runs", 1, "lists no runs"),
+        ("mask of two rows", 1, "1-row"),
+        ("line without '='", 1, "malformed line"),
+        ("member sign not + or -", 1, "sign must be + or -"),
+        ("ica without --q", 2, "--q is required"),
+    ])
+    def test_clean_exit(self, tmp_path, capsys, case, code, says):
+        argv = self._argv(tmp_path, case)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == code
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err and "Traceback" not in err
+
+
+class TestPinnedOutputs:
+    """SHA-256 of every file that simulate -> raicarn -> mixture writes at
+    one small shape and seed, so a change meant to keep the output bits is
+    checked by the suite. Ranks 1 and 2 are significant; rank 1 has a
+    converged three-class fit. Rank 2 is written as degenerate: at one
+    location all six maps share a rank, and their rounded standard
+    deviation of about 5e-16 gives |t| near 1.6e16."""
+
+    DIGESTS = {
+        "sim/manifest.txt": "beaea525124788e791e48f3d6bb220f43ba0ef96edf3194ff9df8a150e79f5b9",
+        "sim/run00.rnm": "0545e302ff0d78075c4a9d3c899cd8738fba1f2459bc31e62d051f66378cec34",
+        "sim/run01.rnm": "78b8393f5cf0e89349999f9f30ad2b71db6b98e37d248219821963f98e1ad560",
+        "sim/run02.rnm": "f1dc50e192c6c0f33e5a67cda221d8e8921d16f4337f8fc297bb48cfbd079d5e",
+        "sim/run03.rnm": "0f4150e99f1c731c6d3a2358ce7ff364b01d657e6b1c62e2f315bfbbf298348c",
+        "sim/run04.rnm": "ab80d33f8e181a1f852f5571a7f4eb7d3d7390d3a35cc8a9c95394d1a1633f38",
+        "sim/run05.rnm": "2dd2e5b01cbfc06ba0fed41325e56fbb7195466c2ea718e8083f2f1badf92120",
+        "sim/truth.txt": "46098cc040d6384e54af4ec645d535aa01e8cffd4e454c33a938c8c7ef8b20f2",
+        "rep/report.txt": "80784ebac2ad7c9e41ca299eba04f1c816f022a36beb287d1bd91e2df891b75a",
+        "rep/report.txt.null.rnm": "ec4a7971e05d0708288b9f7d95de87699d2fc45f9bf0c1910e8e18f0814cb362",
+        "mix/comp01_fit.txt": "c775233a14f06e66a951a531e8851a3996e417a44f52166962479f1770df25f6",
+        "mix/comp01_hist.rnm": "41c5bd9a75c55428a5ac388014525b4f32b587bda70378f8716ec87c856f6138",
+        "mix/comp01_labels.rnm": "c61b261b3b2596ebd998df5c22781c43bec5fa0895776f43f4095ff14feb7372",
+        "mix/comp01_tstat.rnm": "0859b2614da3de9f74236ae818cfb061b46173ee75dc22e1dc87403dfcaa0896",
+        "mix/comp02_fit.txt": "f946950f050fa3fecd169c724bf41f3c177c030f5c3e7aa11cbb8a9502e5dfa8",
+        "mix/comp02_labels.rnm": "1a114a505491788b2ff5eb84815f506664ba70cc7aef233bcd98812a31114ce9",
+        "mix/comp02_tstat.rnm": "5610951a231754c1e19c352d88780bceaa1dd01a2b51e0ce62ea6ddda69d8d4b",
+    }
+
+    def test_pipeline_bytes_are_pinned(self, tmp_path):
+        manifest = _simulate(tmp_path / "sim", seed=7, K=6, nc=3, planted=2, overlap=0.9, n=600)
+        assert main(["raicarn", manifest, "--R", "40", "--seed", "0", "--out", str(tmp_path / "rep")]) == 0
+        assert main(["mixture", "--report", str(tmp_path / "rep" / "report.txt"),
+                     "--manifest", manifest, "--out", str(tmp_path / "mix")]) == 0
+        assert "converged = true" in (tmp_path / "mix" / "comp01_fit.txt").read_text()
+        written = {
+            f"{d}/{name}": hashlib.sha256((tmp_path / d / name).read_bytes()).hexdigest()
+            for d in ("sim", "rep", "mix")
+            for name in sorted(os.listdir(tmp_path / d))
+        }
+        assert written == self.DIGESTS

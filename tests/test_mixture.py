@@ -17,7 +17,6 @@ from raicarn.mixture import (
     fit_mixture,
     group_tstat,
     histogram_data,
-    normalize_empirical,
     normalize_maps,
     responsibilities,
 )
@@ -27,16 +26,16 @@ from raicarn.synth import PlantSpec, planted_runset
 class TestNormalizeEmpirical:
     def test_two_values(self):
         # oracle: normal quantiles at 0.25 and 0.75
-        out = normalize_empirical([3.0, 1.0])
+        out = normalize_maps([3.0, 1.0])
         np.testing.assert_allclose(out, [0.6744897501960817, -0.6744897501960817], atol=1e-12)
 
     def test_all_equal_maps_to_zero(self):
-        np.testing.assert_array_equal(normalize_empirical([2.0, 2.0, 2.0]), 0.0)
+        np.testing.assert_array_equal(normalize_maps([2.0, 2.0, 2.0]), 0.0)
 
     def test_monotone(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(50)
-        out = normalize_empirical(v)
+        out = normalize_maps(v)
         assert (np.diff(out[np.argsort(v)]) >= 0).all()
 
     def test_rowwise_on_stack(self):
@@ -44,7 +43,7 @@ class TestNormalizeEmpirical:
         maps = rng.standard_normal((5, 30))
         out = normalize_maps(maps)
         for k in range(5):
-            np.testing.assert_allclose(out[k], normalize_empirical(maps[k]), atol=1e-12)
+            np.testing.assert_allclose(out[k], normalize_maps(maps[k]), atol=1e-12)
 
     def test_rowwise_preserves_cross_map_agreement(self):
         # two maps with the same ordering normalize to identical rows
@@ -55,7 +54,7 @@ class TestNormalizeEmpirical:
 
     def test_needs_two_values(self):
         with pytest.raises(DegenerateDataError):
-            normalize_empirical([1.0])
+            normalize_maps([1.0])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 200), st.integers(0, 10_000))
@@ -64,7 +63,7 @@ class TestNormalizeEmpirical:
         rng = np.random.default_rng(seed)
         v = rng.permutation(np.arange(m, dtype=np.float64))
         expected = stats.norm.ppf((np.argsort(np.argsort(v)) + 0.5) / m)
-        np.testing.assert_allclose(normalize_empirical(v), expected, atol=1e-12)
+        np.testing.assert_allclose(normalize_maps(v), expected, atol=1e-12)
 
 
 class TestGroupTstat:

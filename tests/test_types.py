@@ -43,6 +43,11 @@ class TestValidateRunCollection:
         with pytest.raises(TooFewRunsError):
             validate_run_collection(_runs(1, 4, 100))
 
+    def test_array_is_frozen_in_place(self):
+        maps = np.asarray(_runs(), dtype=np.float64)
+        rc = validate_run_collection(maps)
+        assert rc.maps is maps and not maps.flags.writeable
+
     def test_immutability(self):
         rc = validate_run_collection(_runs())
         with pytest.raises(ValueError):
