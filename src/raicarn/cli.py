@@ -249,6 +249,7 @@ def cmd_mixture(args) -> int:
                 f"gamma_pos = {fit.gamma_pos[0]!r} {fit.gamma_pos[1]!r} {fit.gamma_pos[2]!r}",
                 f"gamma_neg = {fit.gamma_neg[0]!r} {fit.gamma_neg[1]!r} {fit.gamma_neg[2]!r}",
                 f"converged = {'true' if fit.converged else 'false'}",
+                f"iterations = {len(fit.loglik_trace)}",
             ]
         else:
             lines.append("degenerate = true")

@@ -3,8 +3,11 @@ t-statistics over sign-aligned maps, and a three-class mixture of a
 Student-t background with positive- and negative-tail shifted Gammas.
 
 The EM loop is a generalized EM: every M-step conditionally maximizes the
-complete-data objective, so the recorded log-likelihood trace is
-non-decreasing (asserted to 1e-8 by the tests).
+complete-data objective, so each plain step cannot lower the
+log-likelihood. SQUAREM (Varadhan & Roland, 2008) extrapolates from two
+such steps, and a guard keeps an extrapolated point only when it is at
+least as likely as the second step, so the recorded log-likelihood trace
+is non-decreasing (asserted to 1e-8 by the tests).
 """
 
 from dataclasses import dataclass
@@ -21,7 +24,16 @@ LABEL_NEGATIVE = -1
 _DOF_GRID = (3.0, 5.0, 10.0, 20.0, 30.0, np.inf)
 _WEIGHT_FREEZE = 1e-6
 _SHIFT_QUANTILE = 0.90
-_DOF_CADENCE = 10
+_DOF_CADENCE = 3  # SQUAREM cycles between dof re-selections
+# Gamma shape cap: without it a tail of vanishing weight can run its shape
+# to 1e11-1e14, where shape*log(rate) and gammaln(shape) cancel to a loss of
+# about one unit of log density per location and the trace drops.
+_SHAPE_CAP = 100.0
+# SQUAREM's bound on the step length |alpha| starts at this factor, grows by
+# it after each accepted extrapolation that it clamped and shrinks by it (to
+# no less than the start) after each rejected one. Unbounded, a slow drift
+# (EM rate near 1) asks for |alpha| near 1e3, and every such point is rejected.
+_STEP_FACTOR = 4.0
 
 
 def normalize_maps(maps) -> np.ndarray:
@@ -46,7 +58,9 @@ def group_tstat(aligned_maps):
     """One-sample t-statistic per location over K aligned maps.
 
     Returns (t, degenerate) where degenerate flags zero-variance locations
-    (their t is set to 0 rather than +-inf).
+    (their t is set to 0 rather than +-inf). A standard deviation within
+    rounding of |mean| counts as zero: K equal values can average to a mean
+    one ulp off, which leaves an sd near 1e-16 |mean| and |t| near 1e16.
     """
     X = np.asarray(aligned_maps, dtype=np.float64)
     K = X.shape[0]
@@ -54,7 +68,7 @@ def group_tstat(aligned_maps):
         raise DegenerateDataError("need at least 2 maps")
     mean = X.mean(axis=0)
     sd = X.std(axis=0, ddof=1)
-    degenerate = sd == 0.0
+    degenerate = sd <= 1e-12 * np.abs(mean)
     t = np.zeros_like(mean)
     ok = ~degenerate
     t[ok] = mean[ok] / (sd[ok] / np.sqrt(K))
@@ -70,7 +84,7 @@ class MixtureFit:
     t_params: tuple  # (location, scale, dof)
     gamma_pos: tuple  # (shape, rate, shift)
     gamma_neg: tuple  # (shape, rate, shift), on negated values
-    loglik_trace: np.ndarray
+    loglik_trace: np.ndarray  # after each E-step evaluation, see fit_mixture
     converged: bool
 
     def __post_init__(self):
@@ -98,13 +112,13 @@ def _t_logpdf(x, loc, scale, dof):
 
 
 def _tail_supports(x, shift_pos, shift_neg):
-    """(mask, y, log y) on the support y > 0 of each Gamma tail, with
+    """(indices, y, log y) on the support y > 0 of each Gamma tail, with
     y = x - shift_pos and y = -x - shift_neg; the shifts are fixed, so
     these are constants of a fit."""
     supports = []
     for y in (x - shift_pos, -x - shift_neg):
-        pos = y > 0
-        supports.append((pos, y[pos], np.log(y[pos])))
+        idx = np.flatnonzero(y > 0)
+        supports.append((idx, y[idx], np.log(y[idx])))
     return supports
 
 
@@ -112,19 +126,26 @@ def _class_logpdfs(x, t_params, gammas, supports):
     """Class log densities, rows (t, Gamma+, Gamma-); -inf off a Gamma's support."""
     lp = np.full((3, x.shape[0]), -np.inf)
     lp[0] = _t_logpdf(x, *t_params)
-    for k, ((shape, rate, _), (pos, y, logy)) in enumerate(zip(gammas, supports), start=1):
-        lp[k, pos] = shape * np.log(rate) - special.gammaln(shape) + (shape - 1) * logy - rate * y
+    for k, ((shape, rate, _), (idx, y, logy)) in enumerate(zip(gammas, supports), start=1):
+        lp[k, idx] = shape * np.log(rate) - special.gammaln(shape) + (shape - 1) * logy - rate * y
     return lp
 
 
-def _posterior(lp, weights):
+def _posterior(lp, weights, supports):
     """E-step: (log-likelihood, class posteriors) of class log densities,
     class-major; works in place on lp."""
     with np.errstate(divide="ignore"):
         lp += np.log(weights)[:, None]
     mx = np.maximum(np.maximum(lp[0], lp[1]), lp[2])
     lp -= mx
-    r = np.exp(lp, out=lp)
+    r = lp
+    np.exp(r[0], out=r[0])
+    # a Gamma row is -inf off its support (about 90% of it), where exp is
+    # both slow and known to give 0
+    for k, (idx, _, _) in enumerate(supports, start=1):
+        on = np.exp(r[k, idx])
+        r[k] = 0.0
+        r[k, idx] = on
     dens = (r[0] + r[1]) + r[2]
     r /= dens
     return float((mx + np.log(dens)).sum()), r
@@ -138,11 +159,16 @@ def _weighted_gamma_mle(y, logy, w):
     s = np.log(ybar) - logbar
     if s <= 0:  # numerically degenerate (all y nearly equal)
         s = 1e-12
-    a0 = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
 
     def f(a):
         return np.log(a) - special.digamma(a) - s
 
+    # log a - digamma(a) falls in a, so the root exceeds the cap exactly when
+    # f(cap) > 0; the profile log-likelihood is concave in the shape, so the
+    # cap is then the constrained maximiser
+    if f(_SHAPE_CAP) >= 0:
+        return _SHAPE_CAP, _SHAPE_CAP / ybar
+    a0 = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     lo, hi = a0 / 10.0, a0 * 10.0
     while f(lo) < 0:
         lo /= 10.0
@@ -165,6 +191,10 @@ def _select_dof(x, loc, scale, weights=None):
 
 @dataclass(frozen=True)
 class MixtureConfig:
+    """EM budget and stopping rule: the fit stops once a plain EM step moves
+    the log-likelihood by less than tol per location (|dL| / n < tol), or
+    after max_iters E-step evaluations."""
+
     max_iters: int = 500
     tol: float = 1e-9
 
@@ -175,17 +205,72 @@ class MixtureConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
+def _m_step(x, resp, params, supports, refit_dof):
+    """One generalized-EM M-step from the posteriors of an evaluated point."""
+    _, t_params, gammas = params
+    weights = resp.sum(axis=1) / x.shape[0]
+    # a class above _WEIGHT_FREEZE holds over 1e-4 of posterior mass (n >= 100),
+    # and a Gamma's mass lies on its support, so no update divides by zero
+    if weights[0] > _WEIGHT_FREEZE:
+        t_params = _update_t(x, resp[0], t_params, refit_dof)
+    gammas = tuple(
+        (*_weighted_gamma_mle(y, logy, resp[k][idx]), g[2]) if weights[k] > _WEIGHT_FREEZE else g
+        for k, (g, (idx, y, logy)) in enumerate(zip(gammas, supports), start=1)
+    )
+    return weights, t_params, gammas
+
+
+def _unconstrained(params):
+    """SQUAREM coordinates of a point: log weights, location, log scale and
+    the log shape and rate of each Gamma."""
+    weights, (loc, scale, _), ((a1, b1, _), (a2, b2, _)) = params
+    with np.errstate(divide="ignore"):
+        return np.array([*np.log(weights), loc, *np.log([scale, a1, b1, a2, b2])])
+
+
+def _squarem_point(p0, p1, p2, step_max):
+    """The S3 extrapolation of two EM steps p0 -> p1 -> p2, its step length
+    clamped to [-step_max, -1], with p2's dof and shifts and the shapes
+    capped. Returns (point, clamped); the point is None when the step length
+    is -1, which gives back p2, or when it is not finite (e.g. from a weight
+    of exactly 0)."""
+    th0, th1, th2 = _unconstrained(p0), _unconstrained(p1), _unconstrained(p2)
+    r = th1 - th0
+    v = (th2 - th1) - r
+    with np.errstate(all="ignore"):
+        alpha = -np.sqrt(np.dot(r, r) / np.dot(v, v))
+        clamped = alpha < -step_max
+        alpha = max(alpha, -step_max)
+        if not alpha < -1.0:
+            return None, clamped
+        th = th0 - 2.0 * alpha * r + alpha * alpha * v
+        th[[5, 7]] = np.minimum(th[[5, 7]], np.log(_SHAPE_CAP))
+        w = np.exp(th[:3] - th[:3].max())
+        scale, a1, b1, a2, b2 = np.exp(th[4:])
+    if not np.isfinite([*th, scale, b1, b2]).all():
+        return None, clamped
+    _, (_, _, dof), ((_, _, shift_pos), (_, _, shift_neg)) = p2
+    return (w / w.sum(), (th[3], scale, dof), ((a1, b1, shift_pos), (a2, b2, shift_neg))), clamped
+
+
 def fit_mixture(t_map, cfg: MixtureConfig = MixtureConfig()) -> MixtureFit:
     """EM fit of the t / Gamma+ / Gamma- mixture to a statistic map; stops
-    when the log-likelihood moves by less than cfg.tol, or after
-    cfg.max_iters iterations.
+    when a plain EM step moves the log-likelihood by less than cfg.tol per
+    location (|dL| / n < cfg.tol), or after cfg.max_iters evaluations.
 
-    The background dof is picked from a small grid (re-selected every few
-    iterations as a conditional-maximization step, so the trace stays
-    monotone); Gamma shifts are fixed at the upper decile of the data
-    (respectively negated data), far enough out that a pure background
-    drives both tail weights toward zero. Classes whose weight falls
-    below 1e-6 have their shape parameters frozen.
+    Each SQUAREM cycle takes two plain EM steps, extrapolates from them with
+    an adaptively bounded step length and keeps the extrapolated point only
+    if its log-likelihood is at least the second step's; an evaluation is
+    one E-step, and loglik_trace holds the log-likelihood of the current
+    point after each one (a rejected extrapolation repeats the last value).
+
+    The background dof is picked from a small grid (re-selected in the
+    first step of every few cycles as a conditional-maximization step, so
+    the trace stays monotone, and held through the rest of the cycle);
+    Gamma shifts are fixed at the upper decile of the data (respectively
+    negated data), far enough out that a pure background drives both tail
+    weights toward zero. Gamma shapes are capped at _SHAPE_CAP. Classes
+    whose weight falls below 1e-6 have their shape parameters frozen.
     """
     x = np.asarray(t_map, dtype=np.float64).ravel()
     n = x.shape[0]
@@ -199,49 +284,75 @@ def fit_mixture(t_map, cfg: MixtureConfig = MixtureConfig()) -> MixtureFit:
     if scale <= 1e-12 * max(1.0, float(np.abs(x).max())):
         raise DegenerateDataError("statistic map has (numerically) zero spread")
     dof = _select_dof(x, loc, scale)
-    t_params = (loc, scale, dof)
 
     shifts = (float(np.quantile(x, _SHIFT_QUANTILE)), float(np.quantile(-x, _SHIFT_QUANTILE)))
     supports = _tail_supports(x, *shifts)
-    gammas = [(*_init_gamma(y), shift) for (_, y, _), shift in zip(supports, shifts)]
-    weights = np.array([0.9, 0.05, 0.05])
+    gammas = tuple((*_init_gamma(y), shift) for (_, y, _), shift in zip(supports, shifts))
 
-    trace = []
+    def e_step(params):
+        weights, t_params, gammas = params
+        return _posterior(_class_logpdfs(x, t_params, gammas, supports), weights, supports)
+
+    params = (np.array([0.9, 0.05, 0.05]), (loc, scale, dof), gammas)
+    ll, resp = e_step(params)
+    trace = [ll]
+    cycle = [params]  # the points of the current SQUAREM cycle
+    n_cycles = 0
+    step_max = _STEP_FACTOR
     converged = False
-    for it in range(cfg.max_iters):
-        ll, resp = _posterior(_class_logpdfs(x, t_params, gammas, supports), weights)
+    while not converged and len(trace) < cfg.max_iters:
+        if len(cycle) < 3:
+            refit_dof = len(cycle) == 1 and n_cycles % _DOF_CADENCE == 0
+            params = _m_step(x, resp, params, supports, refit_dof)
+            cycle.append(params)
+            new_ll, resp = e_step(params)
+            # only a plain step measures convergence: an extrapolation that
+            # lands near the second step's point gains little even far from
+            # the optimum
+            converged = abs(new_ll - ll) < cfg.tol * n
+            ll = new_ll
+        else:
+            n_cycles += 1
+            candidate, clamped = _squarem_point(*cycle, step_max)
+            cycle = [params]
+            if candidate is None:
+                continue
+            # a far extrapolation may overflow; a non-finite log-likelihood
+            # then fails the guard
+            with np.errstate(all="ignore"):
+                cand_ll, cand_resp = e_step(candidate)
+            accepted = cand_ll >= ll
+            if accepted:
+                params, ll, resp = candidate, cand_ll, cand_resp
+                cycle = [params]
+            if clamped and accepted:
+                step_max *= _STEP_FACTOR
+            elif clamped:
+                step_max = max(step_max / _STEP_FACTOR, _STEP_FACTOR)
         trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < cfg.tol:
-            converged = True
-            break
 
-        # adds each row in order; a pairwise resp.sum(axis=1) would change the bits
-        weights = np.cumsum(resp, axis=1)[:, -1] / n
-        # a class above _WEIGHT_FREEZE holds over 1e-4 of posterior mass (n >= 100),
-        # and a Gamma's mass lies on its support, so no update divides by zero
-        if weights[0] > _WEIGHT_FREEZE:
-            t_params = _update_t(x, resp[0], t_params, refit_dof=it % _DOF_CADENCE == 0)
-        for k, ((pos, y, logy), shift) in enumerate(zip(supports, shifts), start=1):
-            if weights[k] > _WEIGHT_FREEZE:
-                gammas[k - 1] = (*_weighted_gamma_mle(y, logy, resp[k][pos]), shift)
-
+    weights, t_params, (gamma_pos, gamma_neg) = params
     return MixtureFit(
         weights=tuple(weights),
-        t_params=t_params,
-        gamma_pos=gammas[0],
-        gamma_neg=gammas[1],
+        t_params=tuple(map(float, t_params)),
+        gamma_pos=tuple(map(float, gamma_pos)),
+        gamma_neg=tuple(map(float, gamma_neg)),
         loglik_trace=np.array(trace),
         converged=converged,
     )
 
 
 def _init_gamma(y):
-    """Moment-matched (shape, rate) for the values y > 0 of a tail."""
+    """Moment-matched (shape, rate) for the values y > 0 of a tail, with the
+    shape clamped to [1e-3, _SHAPE_CAP] and the rate matching the mean: an
+    initial shape above the cap would let the first capped M-step lower the
+    log-likelihood."""
     if y.size < 2:
         return 2.0, 2.0
     m, v = float(y.mean()), float(y.var())
     v = max(v, 1e-12)
-    return max(m * m / v, 1e-3), max(m / v, 1e-6)
+    shape = min(max(m * m / v, 1e-3), _SHAPE_CAP)
+    return shape, max(shape / m, 1e-6)
 
 
 def _update_t(x, r, t_params, refit_dof=False):
@@ -260,8 +371,9 @@ def _update_t(x, r, t_params, refit_dof=False):
 
 
 def _fit_logpdfs(fit: MixtureFit, x):
+    """(class log densities, tail supports) of a fitted mixture at x."""
     supports = _tail_supports(x, fit.gamma_pos[2], fit.gamma_neg[2])
-    return _class_logpdfs(x, fit.t_params, (fit.gamma_pos, fit.gamma_neg), supports)
+    return _class_logpdfs(x, fit.t_params, (fit.gamma_pos, fit.gamma_neg), supports), supports
 
 
 def responsibilities(fit: MixtureFit, t_map) -> np.ndarray:
@@ -269,7 +381,8 @@ def responsibilities(fit: MixtureFit, t_map) -> np.ndarray:
     (t, positive, negative); rows sum to 1. A transposed view of the
     class-major posteriors, so each column is contiguous."""
     x = np.asarray(t_map, dtype=np.float64).ravel()
-    return _posterior(_fit_logpdfs(fit, x), np.asarray(fit.weights))[1].T
+    lp, supports = _fit_logpdfs(fit, x)
+    return _posterior(lp, np.asarray(fit.weights), supports)[1].T
 
 
 def classify_voxels(fit: MixtureFit, t_map) -> np.ndarray:
@@ -289,5 +402,5 @@ def histogram_data(fit: MixtureFit, t_map, bins: int = 100) -> np.ndarray:
     x = np.asarray(t_map, dtype=np.float64).ravel()
     counts, edges = np.histogram(x, bins=bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    dens = np.exp(_fit_logpdfs(fit, centers)) * np.asarray(fit.weights)[:, None]
+    dens = np.exp(_fit_logpdfs(fit, centers)[0]) * np.asarray(fit.weights)[:, None]
     return np.vstack([edges[:-1], edges[1:], counts.astype(np.float64), dens])

@@ -503,10 +503,10 @@ class TestRejections:
 class TestPinnedOutputs:
     """SHA-256 of every file that simulate -> raicarn -> mixture writes at
     one small shape and seed, so a change meant to keep the output bits is
-    checked by the suite. Ranks 1 and 2 are significant; rank 1 has a
-    converged three-class fit. Rank 2 is written as degenerate: at one
-    location all six maps share a rank, and their rounded standard
-    deviation of about 5e-16 gives |t| near 1.6e16."""
+    checked by the suite. Ranks 1 and 2 are significant, and each has a
+    converged three-class fit. At location 250 of rank 2 all six maps share
+    a rank; their rounded standard deviation of about 5e-16 used to give
+    |t| near 1.6e16 and a whole-map degenerate fit."""
 
     DIGESTS = {
         "sim/manifest.txt": "beaea525124788e791e48f3d6bb220f43ba0ef96edf3194ff9df8a150e79f5b9",
@@ -519,24 +519,42 @@ class TestPinnedOutputs:
         "sim/truth.txt": "46098cc040d6384e54af4ec645d535aa01e8cffd4e454c33a938c8c7ef8b20f2",
         "rep/report.txt": "80784ebac2ad7c9e41ca299eba04f1c816f022a36beb287d1bd91e2df891b75a",
         "rep/report.txt.null.rnm": "ec4a7971e05d0708288b9f7d95de87699d2fc45f9bf0c1910e8e18f0814cb362",
-        "mix/comp01_fit.txt": "c775233a14f06e66a951a531e8851a3996e417a44f52166962479f1770df25f6",
-        "mix/comp01_hist.rnm": "41c5bd9a75c55428a5ac388014525b4f32b587bda70378f8716ec87c856f6138",
+        "mix/comp01_fit.txt": "ee030e20a0f0c49c8b3bf1980e669ac041f4bda1b989f4fe9212cca3c372f39b",
+        "mix/comp01_hist.rnm": "5ecafa999449ede9c2234c082675812f1cc822d4c4ebf282adcba6e51b14c021",
         "mix/comp01_labels.rnm": "c61b261b3b2596ebd998df5c22781c43bec5fa0895776f43f4095ff14feb7372",
         "mix/comp01_tstat.rnm": "0859b2614da3de9f74236ae818cfb061b46173ee75dc22e1dc87403dfcaa0896",
-        "mix/comp02_fit.txt": "f946950f050fa3fecd169c724bf41f3c177c030f5c3e7aa11cbb8a9502e5dfa8",
+        "mix/comp02_fit.txt": "0a37dd5526d6e4308db01cb2bd784f3384787be391dca0536352de24e6a1ede9",
+        "mix/comp02_hist.rnm": "f8d380fda285ca1933027e94110c0fd0497c74d7274acb64d699cb7b410dd6cd",
         "mix/comp02_labels.rnm": "1a114a505491788b2ff5eb84815f506664ba70cc7aef233bcd98812a31114ce9",
-        "mix/comp02_tstat.rnm": "5610951a231754c1e19c352d88780bceaa1dd01a2b51e0ce62ea6ddda69d8d4b",
+        "mix/comp02_tstat.rnm": "779119ec62817a1532dae94e5f06d8fd2ded3e5edcc3d764185b2e7ff6b484e4",
     }
 
-    def test_pipeline_bytes_are_pinned(self, tmp_path):
-        manifest = _simulate(tmp_path / "sim", seed=7, K=6, nc=3, planted=2, overlap=0.9, n=600)
-        assert main(["raicarn", manifest, "--R", "40", "--seed", "0", "--out", str(tmp_path / "rep")]) == 0
-        assert main(["mixture", "--report", str(tmp_path / "rep" / "report.txt"),
-                     "--manifest", manifest, "--out", str(tmp_path / "mix")]) == 0
-        assert "converged = true" in (tmp_path / "mix" / "comp01_fit.txt").read_text()
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinned")
+        manifest = _simulate(root / "sim", seed=7, K=6, nc=3, planted=2, overlap=0.9, n=600)
+        assert main(["raicarn", manifest, "--R", "40", "--seed", "0", "--out", str(root / "rep")]) == 0
+        assert main(["mixture", "--report", str(root / "rep" / "report.txt"),
+                     "--manifest", manifest, "--out", str(root / "mix")]) == 0
+        return root
+
+    def test_pipeline_bytes_are_pinned(self, pipeline):
+        assert "converged = true" in (pipeline / "mix" / "comp01_fit.txt").read_text()
         written = {
-            f"{d}/{name}": hashlib.sha256((tmp_path / d / name).read_bytes()).hexdigest()
+            f"{d}/{name}": hashlib.sha256((pipeline / d / name).read_bytes()).hexdigest()
             for d in ("sim", "rep", "mix")
-            for name in sorted(os.listdir(tmp_path / d))
+            for name in sorted(os.listdir(pipeline / d))
         }
         assert written == self.DIGESTS
+
+    def test_location_with_rounded_zero_spread_is_degenerate_alone(self, pipeline):
+        fit = dict(
+            line.split(" = ") for line in (pipeline / "mix" / "comp02_fit.txt").read_text().splitlines()[1:]
+        )
+        assert (fit["degenerate_locations"], fit["converged"]) == ("1", "true")
+        assert 1 <= int(fit["iterations"]) < 500
+        assert "degenerate" not in fit
+        t = io.read_matrix(pipeline / "mix" / "comp02_tstat.rnm")[0]
+        labels = io.read_matrix(pipeline / "mix" / "comp02_labels.rnm")[0]
+        assert t[250] == 0.0 and labels[250] == 0.0
+        assert np.abs(t).max() < 100.0

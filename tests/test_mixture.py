@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from raicarn.errors import DegenerateDataError
 from raicarn.mixture import (
     LABEL_NEGATIVE,
     LABEL_NULL,
     LABEL_POSITIVE,
+    _SHAPE_CAP,
     MixtureConfig,
     MixtureFit,
     classify_voxels,
@@ -68,7 +69,9 @@ class TestNormalizeEmpirical:
 
 class TestGroupTstat:
     def test_identical_maps_degenerate(self):
-        X = np.tile(np.array([1.0, -2.0, 0.0]), (4, 1))
+        # six copies of ndtri(0.5 / 600) average to one ulp off, which leaves
+        # an sd of 4.9e-16 rather than 0
+        X = np.tile(np.array([1.0, -2.0, 0.0, special.ndtri(0.5 / 600)]), (6, 1))
         t, deg = group_tstat(X)
         assert deg.all()
         np.testing.assert_array_equal(t, 0.0)
@@ -143,15 +146,46 @@ class TestFitMixture:
         b = fit_mixture(x)
         assert a.weights == b.weights and a.t_params == b.t_params
 
-    @pytest.mark.xfail(strict=True, raises=ValueError,
-                       reason="Gamma- collapses at w_neg ~ 6e-4 and the trace drops by 4")
     def test_planted_set_trace_stays_monotone(self):
-        # paper-scale planted set whose negative tail shape runs away
-        # (19 -> 1.4e14 over iterations 214-218); MixtureFit rejects the trace
+        # paper-scale planted set whose negative tail shape ran away without
+        # the shape cap (19 -> 1.4e14 at w_neg ~ 6e-4) and whose trace then
+        # dropped by 4
         rc, labels = planted_runset(PlantSpec(n=2000, n_C=8, K=20, n_planted=3, overlap=0.9, seed=35))
         t, _ = group_tstat(normalize_maps(rc.maps[np.arange(20), labels[2]]))
         fit = fit_mixture(t)
         assert (np.diff(fit.loglik_trace) >= -1e-8).all()
+
+    def _tight_tail(self, seed=8):
+        # a positive tail clustered so tightly that its moment-matched Gamma
+        # shape on y = x - shift is about 2e4, far above the cap
+        rng = np.random.default_rng(seed)
+        return np.concatenate([
+            stats.t.rvs(20.0, size=18_000, random_state=rng),
+            8.0 + 0.02 * rng.standard_normal(2000),
+        ])
+
+    def test_moment_matched_shape_above_cap_keeps_trace_monotone(self):
+        x = self._tight_tail()
+        y = x[x > np.quantile(x, 0.9)] - np.quantile(x, 0.9)
+        assert y.mean() ** 2 / y.var() > 10 * _SHAPE_CAP
+        fit = fit_mixture(x)
+        assert (np.diff(fit.loglik_trace) >= -1e-8).all()
+        assert fit.weights[1] == pytest.approx(0.10, abs=0.01)
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_gamma_shape_never_exceeds_cap(self, seed):
+        x = self._tight_tail(seed)
+        for t in (x, -x):
+            fit = fit_mixture(t)
+            assert max(fit.gamma_pos[0], fit.gamma_neg[0]) == _SHAPE_CAP
+
+    def test_tolerance_is_per_location(self):
+        # the last (plain) step moved the log-likelihood by less than tol per
+        # location, though by far more than tol in total
+        x = self._with_gamma(seed=2)
+        fit = fit_mixture(x, MixtureConfig(tol=1e-6))
+        step = fit.loglik_trace[-1] - fit.loglik_trace[-2]
+        assert fit.converged and 1e-3 < step < 1e-6 * x.size
 
     def test_config_caps_iterations(self):
         fit = fit_mixture(self._with_gamma(seed=7), MixtureConfig(max_iters=3, tol=1e-300))
@@ -254,10 +288,15 @@ class TestPinnedOutputs:
     def test_fit_digest_is_pinned(self, planted):
         _, _, fit = planted
         params = np.array([*fit.weights, *fit.t_params, *fit.gamma_pos, *fit.gamma_neg])
-        assert (len(fit.loglik_trace), fit.converged) == (412, True)
+        assert (len(fit.loglik_trace), fit.converged) == (71, True)
         assert _digest(params, fit.loglik_trace) == (
-            "0e639ba9e4399e599ce91d9b9359d20a97817a4a7ea0fc1282f2a48697c2751b"
+            "526a6bee0727d906a74614d508cbe5aa134d5ea2d9918376888a1c3e2ecbc3d5"
         )
+
+    def test_fit_converges_in_fewer_evaluations_than_plain_em(self, planted):
+        # plain EM with an absolute tolerance stopped this fit after 412
+        fit = planted[2]
+        assert fit.converged and len(fit.loglik_trace) < 412
 
     def test_labels_responsibilities_and_histogram_digests_are_pinned(self, planted):
         _, t, fit = planted
@@ -265,8 +304,8 @@ class TestPinnedOutputs:
             "3eb36906f3b84ba86f4e5440656287cc4abc3c6a2e000a3e26300d2aad40d48c"
         )
         assert _digest(responsibilities(fit, t)) == (
-            "c1b65eedb920d36f8b8924714d941b26c11f0480e5427f143814493421623131"
+            "0cd7a1ca9bca80d64a797ad22b84cc6d3706ddbe133cb8737dc3955db1ac2c8e"
         )
         assert _digest(histogram_data(fit, t)) == (
-            "d5a969bcd967300f12fd1ac2b6fc508469391c736e323cbc52452e2ea6100089"
+            "9929df291fd46c8ca093b8bea52d1e628720c8c24b409598cbe53b4df5a1b5f5"
         )
