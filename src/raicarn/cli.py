@@ -208,19 +208,21 @@ def cmd_mixture(args) -> int:
     if args.bins < 1:
         raise UsageError(f"--bins must be >= 1, got {args.bins}")
     report = io.read_report(args.report)
-    rc = io.load_runs(args.manifest)
+    runs = io.open_runs(args.manifest)
     for mc in report.matched:
-        if len(mc.members) != rc.K or any(not 0 <= comp < rc.n_C for _, comp, _ in mc.members):
+        if len(mc.members) != runs.K or any(not 0 <= comp < runs.n_C for _, comp, _ in mc.members):
             raise ShapeMismatchError(
-                f"{args.report}: report does not fit the {rc.K} runs of "
-                f"{rc.n_C} components in {args.manifest}"
+                f"{args.report}: report does not fit the {runs.K} runs of "
+                f"{runs.n_C} components in {args.manifest}"
             )
+    # Read the member maps of the significant components, and only those,
+    # before anything is written.
+    fitted = [(rank, mc) for rank, (mc, sig) in
+              enumerate(zip(report.matched, report.significant), start=1) if sig]
+    stacks = [runs.rows((run, comp) for run, comp, _ in mc.members) for _, mc in fitted]
     out = _outdir(args)
-    n_done = 0
-    for rank, (mc, sig) in enumerate(zip(report.matched, report.significant), start=1):
-        if not sig:
-            continue
-        aligned = np.stack([sign * rc.maps[run, comp] for run, comp, sign in mc.members])
+    for (rank, mc), maps in zip(fitted, stacks):
+        aligned = maps * np.array([sign for _, _, sign in mc.members])[:, None]
         normalized = mixture.normalize_maps(aligned)
         t_map, degenerate = mixture.group_tstat(normalized)
         try:
@@ -254,8 +256,7 @@ def cmd_mixture(args) -> int:
         else:
             lines.append("degenerate = true")
         io.write_text(prefix + "_fit.txt", lines)
-        n_done += 1
-    print(f"fitted {n_done} significant component(s) to {out}")
+    print(f"fitted {len(fitted)} significant component(s) to {out}")
     return EXIT_OK
 
 

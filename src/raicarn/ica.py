@@ -149,7 +149,8 @@ def z_scale(S, residual_sd) -> np.ndarray:
 
 def residual_sd(Y, model: IcaModel) -> np.ndarray:
     """Per-location standard deviation of Y - mu - A S (unbiased)."""
-    resid = np.asarray(Y, dtype=np.float64) - model.mu[:, None] - model.A @ model.S
+    resid = np.asarray(Y, dtype=np.float64) - model.mu[:, None]
+    resid -= model.A @ model.S
     return resid.std(axis=0, ddof=1)
 
 

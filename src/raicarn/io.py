@@ -8,6 +8,7 @@ write-then-read is the identity.
 
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import (
     RaggedRunsError,
     ShapeMismatchError,
 )
-from .types import MatchedComponent, ReproducibilityReport, validate_run_collection
+from .types import MatchedComponent, ReproducibilityReport, check_run_shape, validate_run_collection
 
 MAGIC = b"RNM1"
 _HEADER = struct.Struct("<4sII")
@@ -45,24 +46,31 @@ def read_matrix(path) -> np.ndarray:
     header is checked against the file size before any payload is read."""
     try:
         with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
-            header = f.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise ShapeMismatchError(f"{path}: truncated header")
-            magic, rows, cols = _HEADER.unpack(header)
-            if magic != MAGIC:
-                raise BadMagicError(f"{path}: bad magic {magic!r}")
-            expected = _HEADER.size + rows * cols * 8
-            if size != expected:
-                raise ShapeMismatchError(
-                    f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}"
-                )
+            rows, cols = _read_header(f, path)
             payload = np.fromfile(f, dtype="<f8", count=rows * cols)
     except OSError as e:
         raise IoFailureError(str(e)) from e
     if payload.size != rows * cols:
         raise ShapeMismatchError(f"{path}: file shrank while being read")
     return payload.astype(np.float64, copy=False).reshape(rows, cols)
+
+
+def _read_header(f, path):
+    """(rows, cols) from an open matrix file's header, checked against the
+    magic and the file size; leaves f at the start of the payload."""
+    size = os.fstat(f.fileno()).st_size
+    header = f.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise ShapeMismatchError(f"{path}: truncated header")
+    magic, rows, cols = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {magic!r}")
+    expected = _HEADER.size + rows * cols * 8
+    if size != expected:
+        raise ShapeMismatchError(
+            f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}"
+        )
+    return rows, cols
 
 
 def write_manifest(run_paths, path, mask_path=None) -> None:
@@ -94,8 +102,59 @@ def read_manifest(path):
 
 def load_runs(manifest_path):
     """Load a RunCollection from a manifest, applying the mask (if any)
-    before validation. Each run is copied into one (K, n_C, n) array as it
-    is read, so loading holds one run beside the result, not K of them."""
+    before validation. The headers are checked first (see open_runs); then
+    each run is copied into one (K, n_C, n) array as it is read, so loading
+    holds one run beside the result, not K of them."""
+    runs = open_runs(manifest_path)
+    maps = np.empty((runs.K, runs.n_C, runs.n))
+    for r, p in enumerate(runs.paths):
+        m = read_matrix(p)
+        maps[r] = m if runs.mask is None else m[:, runs.mask]
+    return validate_run_collection(maps)
+
+
+@dataclass(frozen=True)
+class RunFiles:
+    """The run files of a manifest, their headers checked and their payload
+    unread: ``K`` runs of ``n_C`` maps, each of length ``n`` after the mask.
+    ``rows`` reads single maps, so a caller that needs a few maps of many
+    runs reads only those."""
+
+    paths: tuple
+    n_C: int
+    n: int
+    mask: object  # boolean array over the stored map length, or None
+
+    @property
+    def K(self) -> int:
+        return len(self.paths)
+
+    def rows(self, index) -> np.ndarray:
+        """The masked maps at the zero-based (run, component) pairs of
+        ``index``, as one array; a non-finite value in a map read raises
+        NonFiniteError naming its file and row."""
+        index = list(index)
+        cols = self.n if self.mask is None else self.mask.shape[0]
+        out = np.empty((len(index), self.n))
+        for i, (run, comp) in enumerate(index):
+            path = self.paths[run]
+            try:
+                with open(path, "rb") as f:
+                    f.seek(_HEADER.size + comp * cols * 8)
+                    row = np.fromfile(f, dtype="<f8", count=cols)
+            except OSError as e:
+                raise IoFailureError(str(e)) from e
+            if row.size != cols:
+                raise ShapeMismatchError(f"{path}: file shrank while being read")
+            out[i] = row if self.mask is None else row[self.mask]
+            if not np.isfinite(out[i]).all():
+                raise NonFiniteError(f"{path}: map {comp + 1} contains non-finite values")
+        return out
+
+
+def open_runs(manifest_path) -> RunFiles:
+    """Check a manifest's runs by their headers alone: the magic and file
+    size of each, one shape for all, and the mask length; no map is read."""
     run_paths, mask_path = read_manifest(manifest_path)
     mask = None
     if mask_path is not None:
@@ -103,21 +162,22 @@ def load_runs(manifest_path):
         if m.shape[0] != 1:
             raise ShapeMismatchError(f"{mask_path}: mask must be a 1-row matrix")
         mask = m[0] != 0.0
-    runs = None
-    for r, p in enumerate(run_paths):
-        maps = read_matrix(p)
-        if mask is not None:
-            if maps.shape[1] != mask.shape[0]:
-                raise MaskLengthMismatchError(
-                    f"{p}: mask length {mask.shape[0]} vs map length {maps.shape[1]}"
-                )
-            maps = maps[:, mask]
-        if runs is None:
-            runs = np.empty((len(run_paths),) + maps.shape)
-        elif maps.shape != runs.shape[1:]:
+    shape = None
+    for p in run_paths:
+        try:
+            with open(p, "rb") as f:
+                rows, cols = _read_header(f, p)
+        except OSError as e:
+            raise IoFailureError(str(e)) from e
+        if mask is not None and cols != mask.shape[0]:
+            raise MaskLengthMismatchError(f"{p}: mask length {mask.shape[0]} vs map length {cols}")
+        if shape is None:
+            shape = (rows, cols)
+        elif (rows, cols) != shape:
             raise RaggedRunsError(f"{p}: all runs must share n_C and map length n")
-        runs[r] = maps
-    return validate_run_collection(runs)
+    n_C, n = shape[0], (shape[1] if mask is None else int(mask.sum()))
+    check_run_shape(len(run_paths), n_C, n)
+    return RunFiles(tuple(run_paths), n_C, n, mask)
 
 
 def write_report(report: ReproducibilityReport, path) -> None:

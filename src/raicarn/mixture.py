@@ -13,9 +13,9 @@ is non-decreasing (asserted to 1e-8 by the tests).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, NonFiniteError
 
 LABEL_NULL = 0
 LABEL_POSITIVE = 1
@@ -45,13 +45,29 @@ def normalize_maps(maps) -> np.ndarray:
     (Normalizing per location across only K maps would send every column to
     a permutation of the same quantile multiset, making group means
     identically zero.)
+
+    Each row is sorted once. A tie run at sorted positions first..last has
+    the average rank (first + last) / 2 + 1, a half-integer and so exact,
+    and its quantile is looked up by first + last in a table of 2m - 1.
     """
     v = np.asarray(maps, dtype=np.float64)
     m = v.shape[-1]
     if m < 2:
         raise DegenerateDataError("need at least 2 values per map")
-    ranks = stats.rankdata(v, method="average", axis=-1)
-    return special.ndtri((ranks - 0.5) / m)
+    if np.isnan(v).any():
+        raise NonFiniteError("cannot rank NaN values")
+    rows = v.reshape(-1, m)
+    order = np.argsort(rows, axis=-1)
+    ordered = np.take_along_axis(rows, order, axis=-1)
+    starts = np.ones(rows.shape, dtype=bool)  # where each tie run begins
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], starts.size) - 1
+    table = special.ndtri((np.arange(2 * m - 1) / 2 + 0.5) / m)
+    run_quantile = table[first % m + last % m]
+    out = np.empty_like(rows)
+    np.put_along_axis(out, order, run_quantile[np.cumsum(starts).reshape(rows.shape) - 1], axis=-1)
+    return out.reshape(v.shape)
 
 
 def group_tstat(aligned_maps):

@@ -50,13 +50,7 @@ class RunCollection:
         maps = np.asarray(self.maps, dtype=np.float64)
         if maps.ndim != 3:
             raise RaggedRunsError(f"expected a (K, n_C, n) array, got ndim={maps.ndim}")
-        K, n_C, n = maps.shape
-        if K < 2:
-            raise TooFewRunsError(f"need at least 2 runs, got {K}")
-        if n_C < 1:
-            raise RaggedRunsError("need at least 1 component per run")
-        if n <= 1:
-            raise RaggedRunsError(f"map length must exceed 1, got {n}")
+        check_run_shape(*maps.shape)
         if not np.isfinite(maps).all():
             raise NonFiniteError("component maps contain non-finite values")
         object.__setattr__(self, "maps", _freeze(maps))
@@ -76,6 +70,17 @@ class RunCollection:
     def flat_maps(self) -> np.ndarray:
         """All K*n_C maps stacked; flat index = run * n_C + component."""
         return self.maps.reshape(self.K * self.n_C, self.n)
+
+
+def check_run_shape(K, n_C, n) -> None:
+    """Raise TooFewRunsError or RaggedRunsError unless K runs of n_C maps
+    of length n can form a RunCollection."""
+    if K < 2:
+        raise TooFewRunsError(f"need at least 2 runs, got {K}")
+    if n_C < 1:
+        raise RaggedRunsError("need at least 1 component per run")
+    if n <= 1:
+        raise RaggedRunsError(f"map length must exceed 1, got {n}")
 
 
 def validate_run_collection(runs) -> RunCollection:

@@ -3,6 +3,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +441,72 @@ class TestMixtureCommand:
                    "--manifest", other, "--seed", "0", "--out", str(tmp_path / "mix")])
         assert rc == 1
         assert not (tmp_path / "mix").exists()
+
+    @staticmethod
+    def _member_rows(report):
+        """(run, component) of every member of a significant component."""
+        rep = io.read_report(report)
+        return {(run, comp) for mc, sig in zip(rep.matched, rep.significant) if sig
+                for run, comp, _ in mc.members}
+
+    @pytest.mark.parametrize("case, says", [
+        ("NaN in a member map", "contains non-finite values"),
+        ("truncated run file", "expected 48012 bytes for 3x2000"),
+        ("run with fewer components", "all runs must share n_C"),
+        ("mask of the wrong length", "mask length 1999 vs map length 2000"),
+    ])
+    def test_bad_run_files_exit_1_before_writing(self, tmp_path, capsys, case, says):
+        manifest, report = self._analysis(tmp_path)
+        sim = tmp_path / "sim"
+        run = sim / "run03.rnm"
+        if case == "NaN in a member map":
+            comp = next(c for r, c in sorted(self._member_rows(report)) if r == 3)
+            maps = io.read_matrix(run)
+            maps[comp, 17] = np.nan
+            _write_unchecked(maps, run)
+            says = f"run03.rnm: map {comp + 1} contains non-finite values"
+        elif case == "truncated run file":
+            run.write_bytes(run.read_bytes()[:-4])
+        elif case == "run with fewer components":
+            io.write_matrix(io.read_matrix(run)[:2], run)
+        else:
+            io.write_matrix(np.ones((1, 1999)), sim / "mask.rnm")
+            with open(manifest, "a") as f:
+                f.write("mask = mask.rnm\n")
+        capsys.readouterr()
+        out = tmp_path / "mix"
+        assert main(["mixture", "--report", report, "--manifest", manifest, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+
+    def test_nan_outside_the_member_maps_is_not_read(self, tmp_path):
+        manifest, report = self._analysis(tmp_path)
+        assert main(["mixture", "--report", report, "--manifest", manifest,
+                     "--out", str(tmp_path / "clean")]) == 0
+        unused = sorted({(r, c) for r in range(8) for c in range(3)} - self._member_rows(report))
+        assert unused
+        for run, comp in unused:
+            path = tmp_path / "sim" / f"run{run:02d}.rnm"
+            maps = io.read_matrix(path)
+            maps[comp, ::7] = np.nan
+            _write_unchecked(maps, path)
+        assert main(["mixture", "--report", report, "--manifest", manifest,
+                     "--out", str(tmp_path / "dirty")]) == 0
+        names = sorted(os.listdir(tmp_path / "clean"))
+        assert names == sorted(os.listdir(tmp_path / "dirty"))
+        for name in names:
+            assert _same_bytes(tmp_path / "clean" / name, tmp_path / "dirty" / name)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone adds about half a second to every command's start
+    code = "import raicarn.cli, sys; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestRejections:

@@ -14,6 +14,7 @@ from raicarn.errors import (
     NonFiniteError,
     RaggedRunsError,
     ShapeMismatchError,
+    TooFewRunsError,
 )
 from raicarn.null import NullConfig, run_raicar_n
 from raicarn.synth import PlantSpec, planted_runset
@@ -129,20 +130,70 @@ class TestManifest:
         names = self._write_runs(tmp_path)
         io.write_matrix(np.ones((1, 99)), tmp_path / "mask.rnm")
         io.write_manifest(names, tmp_path / "manifest.txt", mask_path="mask.rnm")
-        with pytest.raises(MaskLengthMismatchError):
-            io.load_runs(tmp_path / "manifest.txt")
+        for load in (io.load_runs, io.open_runs):
+            with pytest.raises(MaskLengthMismatchError):
+                load(tmp_path / "manifest.txt")
 
     def test_runs_of_different_shapes(self, tmp_path):
         names = self._write_runs(tmp_path)
         io.write_matrix(np.zeros((3, 100)), tmp_path / names[1])
         io.write_manifest(names, tmp_path / "manifest.txt")
-        with pytest.raises(RaggedRunsError, match=names[1]):
-            io.load_runs(tmp_path / "manifest.txt")
+        for load in (io.load_runs, io.open_runs):
+            with pytest.raises(RaggedRunsError, match=names[1]):
+                load(tmp_path / "manifest.txt")
 
     def test_missing_run_file(self, tmp_path):
         io.write_manifest(["gone.rnm"], tmp_path / "manifest.txt")
         with pytest.raises(IoFailureError):
             io.load_runs(tmp_path / "manifest.txt")
+
+
+class TestRunFiles:
+    def _manifest(self, tmp_path, masked, K=3, n_C=4, n=100):
+        names = TestManifest()._write_runs(tmp_path, K=K, n_C=n_C, n=n)
+        mask_path = None
+        if masked:
+            mask = np.ones((1, n))
+            mask[0, ::3] = 0.0
+            io.write_matrix(mask, tmp_path / "mask.rnm")
+            mask_path = "mask.rnm"
+        io.write_manifest(names, tmp_path / "manifest.txt", mask_path=mask_path)
+        return tmp_path / "manifest.txt", names
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_rows_equal_loaded_maps(self, tmp_path, masked):
+        manifest, _ = self._manifest(tmp_path, masked)
+        rc = io.load_runs(manifest)
+        runs = io.open_runs(manifest)
+        assert (runs.K, runs.n_C, runs.n) == (rc.K, rc.n_C, rc.n)
+        index = [(2, 3), (0, 0), (1, 2), (2, 0), (0, 0)]
+        rows = runs.rows(index)
+        assert rows.tobytes() == np.stack([rc.maps[r, c] for r, c in index]).tobytes()
+
+    def test_headers_only_are_read(self, tmp_path):
+        # a NaN in the payload is not seen until its row is read
+        manifest, names = self._manifest(tmp_path, masked=False)
+        m = io.read_matrix(tmp_path / names[1])
+        m[2, 5] = np.nan
+        (tmp_path / names[1]).write_bytes(
+            struct.pack("<4sII", io.MAGIC, *m.shape) + m.astype("<f8").tobytes()
+        )
+        runs = io.open_runs(manifest)
+        assert np.isfinite(runs.rows([(1, 1), (1, 3), (0, 2)])).all()
+        with pytest.raises(NonFiniteError, match=rf"{names[1]}: map 3 "):
+            runs.rows([(0, 0), (1, 2)])
+
+    def test_truncated_run(self, tmp_path):
+        manifest, names = self._manifest(tmp_path, masked=False)
+        path = tmp_path / names[2]
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ShapeMismatchError, match="expected 3212 bytes"):
+            io.open_runs(manifest)
+
+    def test_one_run_is_too_few(self, tmp_path):
+        manifest, _ = self._manifest(tmp_path, masked=False, K=1)
+        with pytest.raises(TooFewRunsError):
+            io.open_runs(manifest)
 
 
 class TestReportFormat:

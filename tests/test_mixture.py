@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from raicarn.errors import DegenerateDataError
+from raicarn.errors import DegenerateDataError, NonFiniteError
 from raicarn.mixture import (
     LABEL_NEGATIVE,
     LABEL_NULL,
@@ -65,6 +65,38 @@ class TestNormalizeEmpirical:
         v = rng.permutation(np.arange(m, dtype=np.float64))
         expected = stats.norm.ppf((np.argsort(np.argsort(v)) + 0.5) / m)
         np.testing.assert_allclose(normalize_maps(v), expected, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 120),
+        st.integers(0, 10),
+        st.sampled_from(["small integers", "constant rows", "signed zeros", "continuous"]),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    def test_bitwise_equal_to_average_rankdata(self, K, m, high, kind, flat, seed):
+        # ties take the average rank, exactly as rankdata gives it
+        rng = np.random.default_rng(seed)
+        if kind == "small integers":
+            v = rng.integers(-high, high + 1, (K, m)).astype(np.float64)
+        elif kind == "constant rows":
+            v = np.repeat(rng.integers(-high, high + 1, (K, 1)).astype(np.float64), m, axis=1)
+        elif kind == "signed zeros":
+            v = rng.choice([-0.0, 0.0, 1.0, -1.0], (K, m))
+            v[:, :2] = (-0.0, 0.0)
+        else:
+            v = rng.standard_normal((K, m))
+        if flat:
+            v = v[0]
+        expected = special.ndtri((stats.rankdata(v, method="average", axis=-1) - 0.5) / m)
+        out = normalize_maps(v)
+        assert out.shape == v.shape and out.dtype == np.float64
+        assert out.tobytes() == expected.tobytes()
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(NonFiniteError):
+            normalize_maps([[1.0, 2.0, 3.0], [0.0, np.nan, 1.0]])
 
 
 class TestGroupTstat:
