@@ -176,8 +176,7 @@ def cmd_ica(args) -> int:
 
 def cmd_raicarn(args) -> int:
     cfg = NullConfig(**_settings(args, "null"), seed=args.seed)
-    # no name here holds the maps, so run_raicar_n can free them before the null
-    report = run_raicar_n(io.load_runs(args.manifest), cfg)
+    report = run_raicar_n(io.open_runs(args.manifest), cfg)
     out = _outdir(args)
     io.write_report(report, os.path.join(out, "report.txt"))
     n_sig = int(report.significant.sum())

@@ -92,6 +92,8 @@ def read_manifest(path):
         if key == "run":
             run_paths.append(os.path.join(base, value))
         elif key == "mask":
+            if mask_path is not None:
+                raise IoFailureError(f"{path}: manifest lists more than one mask")
             mask_path = os.path.join(base, value)
         else:
             raise IoFailureError(f"{path}: unknown manifest key {key!r}")
@@ -101,15 +103,13 @@ def read_manifest(path):
 
 
 def load_runs(manifest_path):
-    """Load a RunCollection from a manifest, applying the mask (if any)
-    before validation. The headers are checked first (see open_runs); then
-    each run is copied into one (K, n_C, n) array as it is read, so loading
-    holds one run beside the result, not K of them."""
+    """Load a RunCollection from a manifest: the headers are checked first
+    (see open_runs), then each run is read by ``RunFiles.run`` into one
+    (K, n_C, n) array, so loading holds one run beside the result."""
     runs = open_runs(manifest_path)
     maps = np.empty((runs.K, runs.n_C, runs.n))
-    for r, p in enumerate(runs.paths):
-        m = read_matrix(p)
-        maps[r] = m if runs.mask is None else m[:, runs.mask]
+    for r in range(runs.K):
+        maps[r] = runs.run(r)
     return validate_run_collection(maps)
 
 
@@ -117,8 +117,10 @@ def load_runs(manifest_path):
 class RunFiles:
     """The run files of a manifest, their headers checked and their payload
     unread: ``K`` runs of ``n_C`` maps, each of length ``n`` after the mask.
-    ``rows`` reads single maps, so a caller that needs a few maps of many
-    runs reads only those."""
+    It is the one reader of map payloads: ``run`` reads one run's maps and
+    ``rows`` single maps, so the CRCM holds one run at a time and a caller
+    that needs a few maps of many runs reads only those. Both apply the
+    mask and raise NonFiniteError naming the file and the map."""
 
     paths: tuple
     n_C: int
@@ -129,39 +131,59 @@ class RunFiles:
     def K(self) -> int:
         return len(self.paths)
 
+    def run(self, r) -> np.ndarray:
+        """The masked (n_C, n) maps of zero-based run r."""
+        return self._read(r, 0, self.n_C)
+
     def rows(self, index) -> np.ndarray:
         """The masked maps at the zero-based (run, component) pairs of
-        ``index``, as one array; a non-finite value in a map read raises
-        NonFiniteError naming its file and row."""
+        ``index``, as one array."""
         index = list(index)
-        cols = self.n if self.mask is None else self.mask.shape[0]
         out = np.empty((len(index), self.n))
         for i, (run, comp) in enumerate(index):
-            path = self.paths[run]
-            try:
-                with open(path, "rb") as f:
-                    f.seek(_HEADER.size + comp * cols * 8)
-                    row = np.fromfile(f, dtype="<f8", count=cols)
-            except OSError as e:
-                raise IoFailureError(str(e)) from e
-            if row.size != cols:
-                raise ShapeMismatchError(f"{path}: file shrank while being read")
-            out[i] = row if self.mask is None else row[self.mask]
-            if not np.isfinite(out[i]).all():
-                raise NonFiniteError(f"{path}: map {comp + 1} contains non-finite values")
+            out[i] = self._read(run, comp, 1)[0]
         return out
+
+    def _read(self, run, first, count) -> np.ndarray:
+        """Maps first .. first + count - 1 of run ``run``, masked, as a
+        (count, n) array."""
+        if not (0 <= run < self.K and 0 <= first and first + count <= self.n_C):
+            raise ShapeMismatchError(
+                f"no map (run {run}, component {first}) in {self.K} runs of "
+                f"{self.n_C} components (zero-based)"
+            )
+        path = self.paths[run]
+        cols = self.n if self.mask is None else self.mask.shape[0]
+        try:
+            with open(path, "rb") as f:
+                f.seek(_HEADER.size + first * cols * 8)
+                maps = np.fromfile(f, dtype="<f8", count=count * cols)
+        except OSError as e:
+            raise IoFailureError(str(e)) from e
+        if maps.size != count * cols:
+            raise ShapeMismatchError(f"{path}: file shrank while being read")
+        maps = maps.astype(np.float64, copy=False).reshape(count, cols)
+        if self.mask is not None:
+            maps = maps[:, self.mask]
+        bad = ~np.isfinite(maps).all(axis=1)
+        if bad.any():
+            raise NonFiniteError(f"{path}: map {first + int(bad.argmax()) + 1} contains non-finite values")
+        return maps
 
 
 def open_runs(manifest_path) -> RunFiles:
     """Check a manifest's runs by their headers alone: the magic and file
-    size of each, one shape for all, and the mask length; no map is read."""
+    size of each, one shape for all, and the mask's length and 0/1 values;
+    no map is read."""
     run_paths, mask_path = read_manifest(manifest_path)
     mask = None
     if mask_path is not None:
         m = read_matrix(mask_path)
         if m.shape[0] != 1:
             raise ShapeMismatchError(f"{mask_path}: mask must be a 1-row matrix")
-        mask = m[0] != 0.0
+        if not np.isin(m, (0.0, 1.0)).all():
+            raise IoFailureError(f"{mask_path}: mask values must be 0 or 1")
+        mask = m[0] == 1.0
     shape = None
     for p in run_paths:
         try:

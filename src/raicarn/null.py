@@ -84,11 +84,13 @@ def null_distribution(rc: RunCollection, G: Crcm, cfg: NullConfig) -> np.ndarray
     return np.concatenate(pool)
 
 
-def run_raicar_n(rc: RunCollection, cfg: NullConfig) -> ReproducibilityReport:
+def run_raicar_n(runs, cfg: NullConfig) -> ReproducibilityReport:
     """Full pipeline: correlation matrix, greedy matching, reproducibility,
     permutation null; the report derives p-values and significance. Sorted
-    by descending reproducibility."""
-    G = compute_crcm(rc)
-    del rc  # only the CRCM is read from here on: let the maps go before the null
+    by descending reproducibility. ``runs`` is a RunCollection or the
+    ``io.RunFiles`` of a manifest (``io.open_runs``), which compute_crcm
+    reads one run at a time."""
+    G = compute_crcm(runs)
+    del runs  # only the CRCM is read from here on: let the maps go before the null
     matched = sorted(match_and_score(G), key=lambda mc: -mc.reproducibility)
     return ReproducibilityReport(tuple(matched), null_distribution(None, G, cfg), cfg.p_crit)

@@ -14,16 +14,21 @@ matched in batches) go through the same matching and scoring functions.
 import numpy as np
 
 from .errors import InvalidPermutationError
-from .types import Crcm, MatchedComponent, RunCollection, _mapped_zeros
+from .types import Crcm, MatchedComponent, _mapped_zeros
 
 
-def compute_crcm(rc: RunCollection) -> Crcm:
+def compute_crcm(runs) -> Crcm:
     """Signed Pearson correlations between every pair of component maps
     across all runs; zero-variance maps correlate 0 with everything
-    (including themselves)."""
-    X = rc.flat_maps()
-    Z = _mapped_zeros(X.shape, np.float64)
-    np.subtract(X, X.mean(axis=1, keepdims=True), out=Z)
+    (including themselves). ``runs`` is a RunCollection or the
+    ``io.RunFiles`` of a manifest: each run is read once, by ``runs.run``,
+    and centred straight into its rows of one (K*n_C, n) buffer, so no
+    other copy of all the maps is made."""
+    K, n_C = runs.K, runs.n_C
+    Z = _mapped_zeros((K * n_C, runs.n), np.float64)
+    for r in range(K):
+        X = runs.run(r)
+        np.subtract(X, X.mean(axis=1, keepdims=True), out=Z[r * n_C : (r + 1) * n_C])
     # row norms in blocks of about 64k cells, with no Z-sized Z*Z temporary
     step = max(1, 2**16 // Z.shape[1])
     norms = np.concatenate([
@@ -33,7 +38,7 @@ def compute_crcm(rc: RunCollection) -> Crcm:
     np.divide(Z, norms[:, None], out=Z, where=norms[:, None] > 0)
     C = Z @ Z.T
     np.clip(C, -1.0, 1.0, out=C)
-    return Crcm(rc.K, rc.n_C, C)
+    return Crcm(K, n_C, C)
 
 
 def _check_permutation(g, N: int) -> np.ndarray:

@@ -67,9 +67,9 @@ class RunCollection:
     def n(self) -> int:
         return self.maps.shape[2]
 
-    def flat_maps(self) -> np.ndarray:
-        """All K*n_C maps stacked; flat index = run * n_C + component."""
-        return self.maps.reshape(self.K * self.n_C, self.n)
+    def run(self, r) -> np.ndarray:
+        """The (n_C, n) maps of run r, as ``io.RunFiles.run`` reads them."""
+        return self.maps[r]
 
 
 def check_run_shape(K, n_C, n) -> None:

@@ -252,6 +252,20 @@ class TestRaicarn:
         assert main(["raicarn", manifest, "--R", "2", "--seed", "0", "--out", str(tmp_path / "o")]) == 0
         assert alive == [False]
 
+    def test_maps_are_read_one_run_at_a_time(self, tmp_path):
+        # 16 MB of maps; the CRCM buffer they are centred into is its own
+        # memory map, so the traced heap holds about one 1.6 MB run at a time
+        import tracemalloc
+
+        manifest = _simulate(tmp_path / "sim", seed=3, K=10, nc=4, planted=1, n=50000)
+        tracemalloc.start()
+        try:
+            assert main(["raicarn", manifest, "--R", "5", "--seed", "0", "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         manifest = _simulate(tmp_path / "sim", seed=15)
         main(["raicarn", manifest, "--R", "20", "--seed", "5", "--out", str(tmp_path / "s")])
@@ -544,6 +558,22 @@ class TestRejections:
             assert edited != text
             report.write_text(edited)
             return ["mixture", "--report", str(report), "--manifest", manifest]
+        if case == "two mask lines":
+            io.write_matrix(np.ones((1, 200)), sim / "ones.rnm")
+            io.write_matrix(np.ones((1, 10)), sim / "ten.rnm")
+            bad.write_text(runs + "mask = ones.rnm\nmask = ten.rnm\n")
+            return raicarn
+        if case == "mask not 0/1":
+            mask = np.ones((1, 200))
+            mask[0, 9] = np.nan
+            _write_unchecked(mask, sim / "mask.rnm")
+            bad.write_text(runs + "mask = mask.rnm\n")
+            return raicarn
+        if case == "NaN in a run":
+            maps = io.read_matrix(sim / "run02.rnm")
+            maps[1, 17] = np.nan
+            _write_unchecked(maps, sim / "run02.rnm")
+            return ["raicarn", manifest, "--R", "5", "--seed", "1"]
         if case == "ica without --q":
             return ["ica", str(sim / "run00.rnm"), "--seed", "1"]
         raise AssertionError(case)
@@ -555,6 +585,9 @@ class TestRejections:
         ("mask of two rows", 1, "1-row"),
         ("line without '='", 1, "malformed line"),
         ("member sign not + or -", 1, "sign must be + or -"),
+        ("two mask lines", 1, "bad.txt: manifest lists more than one mask"),
+        ("mask not 0/1", 1, "mask.rnm: mask values must be 0 or 1"),
+        ("NaN in a run", 1, "run02.rnm: map 2 contains non-finite values"),
         ("ica without --q", 2, "--q is required"),
     ])
     def test_clean_exit(self, tmp_path, capsys, case, code, says):

@@ -162,13 +162,18 @@ class TestRunFiles:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_rows_equal_loaded_maps(self, tmp_path, masked):
-        manifest, _ = self._manifest(tmp_path, masked)
+        manifest, names = self._manifest(tmp_path, masked)
         rc = io.load_runs(manifest)
         runs = io.open_runs(manifest)
         assert (runs.K, runs.n_C, runs.n) == (rc.K, rc.n_C, rc.n)
+        stored = np.stack([io.read_matrix(tmp_path / name) for name in names])
+        if masked:
+            stored = stored[..., io.read_matrix(tmp_path / "mask.rnm")[0] == 1.0]
+        assert rc.maps.tobytes() == stored.tobytes()
         index = [(2, 3), (0, 0), (1, 2), (2, 0), (0, 0)]
         rows = runs.rows(index)
         assert rows.tobytes() == np.stack([rc.maps[r, c] for r, c in index]).tobytes()
+        assert runs.run(1).tobytes() == rc.maps[1].tobytes()
 
     def test_headers_only_are_read(self, tmp_path):
         # a NaN in the payload is not seen until its row is read
@@ -182,6 +187,20 @@ class TestRunFiles:
         assert np.isfinite(runs.rows([(1, 1), (1, 3), (0, 2)])).all()
         with pytest.raises(NonFiniteError, match=rf"{names[1]}: map 3 "):
             runs.rows([(0, 0), (1, 2)])
+        assert np.isfinite(runs.run(0)).all()
+        for read in (lambda: runs.run(1), lambda: io.load_runs(manifest)):
+            with pytest.raises(NonFiniteError, match=rf"{names[1]}: map 3 "):
+                read()
+
+    @pytest.mark.parametrize("run, comp", [(-1, 0), (0, 4), (0, -1), (3, 0)])
+    def test_out_of_range_map(self, tmp_path, run, comp):
+        manifest, _ = self._manifest(tmp_path, masked=False)
+        runs = io.open_runs(manifest)
+        with pytest.raises(ShapeMismatchError, match=rf"no map \(run {run}, component {comp}\) in 3 runs of 4"):
+            runs.rows([(0, 0), (run, comp)])
+        if comp == 0:
+            with pytest.raises(ShapeMismatchError, match="no map"):
+                runs.run(run)
 
     def test_truncated_run(self, tmp_path):
         manifest, names = self._manifest(tmp_path, masked=False)

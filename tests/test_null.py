@@ -41,7 +41,7 @@ def _cross_run(G):
 
 def _relabeled(rc, g):
     """RunCollection whose pseudo-run r, slot c holds flat map g[r*n_C+c]."""
-    flat = rc.flat_maps()[np.asarray(g)]
+    flat = rc.maps.reshape(-1, rc.n)[np.asarray(g)]
     return RunCollection(flat.reshape(rc.K, rc.n_C, rc.n))
 
 
