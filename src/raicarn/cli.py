@@ -167,6 +167,7 @@ def cmd_ica(args) -> int:
             f"sigma2 = {model.sigma2!r}",
             f"converged = {'true' if model.converged else 'false'}",
             f"iterations = {model.n_iters}",
+            f"stopped = {model.stopped}",
             f"scaled = {'raw' if args.raw else 'z'}",
         ],
     )

@@ -17,6 +17,9 @@ from .errors import (
 from .types import IcaModel
 
 NONLINEARITIES = ("tanh", "cubic")
+# iterations the contrast may go without beating its best before the
+# fixed-point search stops on a plateau
+_PLATEAU = 20
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,8 @@ class IcaConfig:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,12 @@ class PcaReduction:
 class FastIcaResult:
     O: np.ndarray  # q x q orthogonal rotation
     S: np.ndarray  # q x n sources, unit variance rows
-    converged: bool
+    stopped: str  # one of types.STOP_REASONS
     n_iters: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stopped == "tolerance"
 
 
 def center(Y):
@@ -104,14 +111,27 @@ def fastica(Yw, cfg: IcaConfig) -> FastIcaResult:
     """Symmetric fixed-point search for the orthogonal rotation making the
     rows of O @ Yw maximally non-Gaussian.
 
-    Convergence is declared when 1 - min diag(|O_new O_old^T|) < cfg.tol;
-    a non-converged result is still returned with the flag cleared.
+    Two rules end the search, tested in this order after each step:
+
+    - tolerance: 1 - min diag(|O_new O_old^T|) < cfg.tol; the new rotation
+      is returned with stopped="tolerance".
+    - plateau: the contrast F = sum_i gamma_i^2 has gone _PLATEAU
+      iterations without beating its best value; the rotation with the
+      best F is returned with stopped="plateau". gamma_i = E{y_i g(y_i)}
+      - E{g'(y_i)} is row i's Stein gap, zero in expectation for a
+      Gaussian row (E y^4 - 3 for the cubic g), and the denominator of
+      the Newton step the fixed-point update is derived from.
+
+    An over-specified order leaves near-Gaussian rows that never settle,
+    so only the plateau rule stops such a fit. After cfg.max_iters
+    iterations the last rotation is returned with stopped="max_iters".
     """
     Yw = np.asarray(Yw, dtype=np.float64)
     q, n = Yw.shape
     rng = np.random.default_rng(cfg.seed)
     W = _sym_decorrelate(rng.standard_normal((q, q)))
-    converged = False
+    stopped = "max_iters"
+    best, W_best, stale = -np.inf, W, 0
     it = 0
     # two q x n buffers reused by every iteration, one for U = W Yw and one
     # for g(U); the tanh path then writes 1 - g^2 over U
@@ -121,6 +141,7 @@ def fastica(Yw, cfg: IcaConfig) -> FastIcaResult:
         np.matmul(W, Yw, out=U)
         if cfg.nonlinearity == "tanh":
             np.tanh(U, out=g)
+            yg_mean = np.einsum("ij,ij->i", U, g) / n
             np.multiply(g, g, out=U)
             g_prime_mean = np.subtract(1.0, U, out=U).mean(axis=1)
         else:
@@ -128,13 +149,25 @@ def fastica(Yw, cfg: IcaConfig) -> FastIcaResult:
             np.multiply(U, U, out=g)
             g_prime_mean = 3.0 * g.mean(axis=1)
             g *= U
+            yg_mean = np.einsum("ij,ij->i", U, g) / n
+        # the contrast of the current rotation W, before the step moves it
+        gamma = yg_mean - g_prime_mean
+        F = gamma @ gamma
+        if F > best:
+            best, W_best, stale = F, W, 0
+        else:
+            stale += 1
         W_new = _sym_decorrelate((g @ Yw.T) / n - g_prime_mean[:, None] * W)
         delta = 1.0 - np.abs(np.diag(W_new @ W.T)).min()
         W = W_new
         if delta < cfg.tol:
-            converged = True
+            stopped = "tolerance"
             break
-    return FastIcaResult(O=W, S=W @ Yw, converged=converged, n_iters=it)
+        if stale == _PLATEAU:
+            stopped = "plateau"
+            W = W_best
+            break
+    return FastIcaResult(O=W, S=W @ Yw, stopped=stopped, n_iters=it)
 
 
 def z_scale(S, residual_sd) -> np.ndarray:
@@ -169,7 +202,7 @@ def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
     res = fastica(Yw, cfg)
     A = red.basis * np.sqrt(red.eigenvalues[: cfg.q]) @ res.O.T
     return IcaModel(mu=mu, A=A, S=res.S, sigma2=red.sigma2,
-                    converged=res.converged, n_iters=res.n_iters)
+                    stopped=res.stopped, n_iters=res.n_iters)
 
 
 def run_group_ica(datasets, cfg: IcaConfig) -> IcaModel:

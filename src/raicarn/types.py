@@ -206,6 +206,11 @@ class ReproducibilityReport:
         return len(self.matched)
 
 
+# why a fixed-point ICA search ended: its tolerance test passed, its
+# contrast stopped rising, or it ran out of iterations
+STOP_REASONS = ("tolerance", "plateau", "max_iters")
+
+
 @dataclass(frozen=True)
 class IcaModel:
     """Estimated noisy linear-mixture model: Y ~ mu + A S + noise.
@@ -218,7 +223,7 @@ class IcaModel:
     A: np.ndarray
     S: np.ndarray
     sigma2: float
-    converged: bool = True
+    stopped: str = "tolerance"  # which rule ended the fixed-point search
     n_iters: int = 0  # fixed-point iterations run
 
     def __post_init__(self):
@@ -235,6 +240,8 @@ class IcaModel:
             raise RankDeficientError("mixing matrix is rank deficient")
         if self.sigma2 < 0:
             raise ValueError("noise variance must be non-negative")
+        if self.stopped not in STOP_REASONS:
+            raise ValueError(f"stopped must be one of {STOP_REASONS}, got {self.stopped!r}")
         if np.abs(S.mean(axis=1)).max() > 1e-6 * max(1.0, np.abs(S).max()):
             raise ValueError("source rows must have zero mean")
         object.__setattr__(self, "mu", _freeze(mu))
@@ -244,3 +251,7 @@ class IcaModel:
     @property
     def q(self) -> int:
         return self.A.shape[1]
+
+    @property
+    def converged(self) -> bool:
+        return self.stopped == "tolerance"

@@ -86,6 +86,7 @@ class TestIca:
         assert model["q"] == "3"
         assert model["converged"] == "true"
         assert 1 <= int(model["iterations"]) < 500
+        assert model["stopped"] == "tolerance"
 
     def test_iteration_cap_recorded(self, tmp_path):
         data = _ica_data(tmp_path)
@@ -94,12 +95,35 @@ class TestIca:
                    "--seed", "1", "--out", str(out)])
         assert rc == 0
         text = (out / "model.txt").read_text()
-        assert "converged = false\niterations = 2\n" in text
+        assert "converged = false\niterations = 2\nstopped = max_iters\n" in text
+
+    def test_over_specified_order_stops_on_plateau(self, tmp_path):
+        # 8 components for 4 noisy sources: half the rows stay near-Gaussian
+        # and never meet --tol, so the contrast plateau ends the search
+        S = gen_sources(4, 3000, "laplacian", seed=30)
+        Y, _, _ = gen_mixture(S, p=30, sigma=1.0, seed=31)
+        data = tmp_path / "data.rnm"
+        io.write_matrix(Y, data)
+        out = tmp_path / "ica"
+        assert main(["ica", str(data), "--q", "8", "--seed", "0", "--out", str(out)]) == 0
+        model = dict(
+            line.split(" = ") for line in (out / "model.txt").read_text().splitlines()[1:]
+        )
+        assert (model["converged"], model["stopped"]) == ("false", "plateau")
+        assert int(model["iterations"]) < 500
 
     def test_max_iters_zero_is_usage_error(self, tmp_path):
         data = _ica_data(tmp_path)
         out = tmp_path / "o"
         rc = main(["ica", str(data), "--q", "3", "--max-iters", "0", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, tmp_path, tol):
+        data = _ica_data(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["ica", str(data), "--q", "3", "--tol", tol, "--seed", "1", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
 
@@ -311,7 +335,7 @@ class TestMixtureCommand:
         labels = io.read_matrix(out / "comp01_labels.rnm")
         assert set(np.unique(labels)) <= {-1.0, 0.0, 1.0}
 
-    @pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--tol", "-1"]])
+    @pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--tol", "-1"], ["--tol", "nan"]])
     def test_bad_stopping_rule_is_usage_error(self, tmp_path, flags):
         manifest, report = self._analysis(tmp_path)
         out = tmp_path / "mix"

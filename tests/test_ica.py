@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -115,11 +117,39 @@ class TestFastica:
         Yw = (evecs / np.sqrt(evals)) @ evecs.T @ Yw
         res = fastica(Yw, IcaConfig(q=3, seed=0, max_iters=50))
         np.testing.assert_allclose(res.O @ res.O.T, np.eye(3), atol=1e-8)
+        # no row is non-Gaussian, so the contrast has nothing to climb to
+        assert res.stopped == "plateau" and res.n_iters < 50
 
     def test_cubic_nonlinearity_recovers(self):
         Yw, S = self._whitened_mixture(2, 5000, seed=8)
         res = fastica(Yw, IcaConfig(q=2, nonlinearity="cubic", seed=0))
         assert _aligned_corrs(S, res.S).min() > 0.99
+
+    @pytest.mark.parametrize("nonlinearity, seed, n_iters, digest", [
+        ("tanh", 6, 3, "5cf384a06ded02d59adae30662deb8d068aaa484c3521a0da77c2643f88cc3ab"),
+        ("cubic", 8, 6, "be9d2f3aa9c9d9a972401f9972522725f1cf3421f721f271f9cb2ac1e686ad56"),
+    ])
+    def test_tolerance_fit_keeps_its_bits(self, nonlinearity, seed, n_iters, digest):
+        # pinned before the plateau rule was added: a fit that meets tol
+        # takes the same steps and returns the same rotation with it
+        Yw, _ = self._whitened_mixture(2, 5000, seed=seed)
+        res = fastica(Yw, IcaConfig(q=2, nonlinearity=nonlinearity, seed=0))
+        assert (res.stopped, res.n_iters) == ("tolerance", n_iters)
+        assert hashlib.sha256(res.O.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("nonlinearity, n_iters", [("tanh", 61), ("cubic", 39)])
+    def test_over_specified_order_stops_on_plateau(self, nonlinearity, n_iters):
+        # q=8 for 4 sources: the 4 near-Gaussian rows never settle, and with
+        # the tolerance test alone both fits ran all 500 iterations. The
+        # pinned counts are _PLATEAU iterations past the best contrast.
+        # Noise of sd 1 on every sensor caps |r| near 1/sqrt(2); the bound
+        # 0.6 asks for every source to be found at close to that cap.
+        S = gen_sources(4, 3000, "laplacian", seed=30)
+        Y, _, _ = gen_mixture(S, p=30, sigma=1.0, seed=31)
+        model = run_single_ica(Y, IcaConfig(q=8, nonlinearity=nonlinearity, seed=0))
+        assert (model.stopped, model.converged) == ("plateau", False)
+        assert model.n_iters == n_iters
+        assert _aligned_corrs(S, model.S).min() > 0.6
 
 
 class TestZScale:
@@ -201,6 +231,14 @@ class TestIcaModel:
         with pytest.raises(RaggedRunsError):
             IcaModel(mu=np.zeros(5), A=rng.standard_normal((5, 2)), S=S, sigma2=0.0)
 
+    def test_rejects_an_unknown_stop_reason(self):
+        S = gen_sources(2, 2000, "laplacian", seed=22)
+        Y, _, _ = gen_mixture(S, p=6, sigma=0.1, seed=23)
+        model = run_single_ica(Y, IcaConfig(q=2, seed=0))
+        assert (model.stopped, model.converged) == ("tolerance", True)
+        with pytest.raises(ValueError):
+            IcaModel(mu=model.mu, A=model.A, S=model.S, sigma2=model.sigma2, stopped="converged")
+
 
 class TestRunGroupIca:
     def test_single_dataset_matches_single_run(self):
@@ -232,7 +270,8 @@ class TestIcaConfig:
         with pytest.raises(ValueError):
             IcaConfig(q=2, nonlinearity="exp")
 
-    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}])
+    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0},
+                                     {"tol": float("nan")}, {"tol": float("inf")}])
     def test_bad_stopping_rule(self, bad):
         with pytest.raises(ValueError):
             IcaConfig(q=2, **bad)

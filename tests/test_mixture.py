@@ -223,7 +223,8 @@ class TestFitMixture:
         fit = fit_mixture(self._with_gamma(seed=7), MixtureConfig(max_iters=3, tol=1e-300))
         assert len(fit.loglik_trace) == 3 and not fit.converged
 
-    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}])
+    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0},
+                                     {"tol": float("nan")}, {"tol": float("inf")}])
     def test_bad_config(self, bad):
         with pytest.raises(ValueError):
             MixtureConfig(**bad)
