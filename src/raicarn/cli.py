@@ -14,7 +14,7 @@ import numpy as np
 from . import grouping, io, mixture, synth
 from .config import SECTION_KEYS, load_pipeline_config
 from .errors import DegenerateDataError, DomainError, RaicarnError, ShapeMismatchError
-from .ica import NONLINEARITIES, IcaConfig, residual_sd, run_group_ica, run_single_ica, z_scale
+from .ica import NONLINEARITIES, IcaConfig, residual_sd, run_single_ica, stack_group, z_scale
 from .null import NullConfig, run_raicar_n
 
 EXIT_OK = 0
@@ -147,13 +147,12 @@ def cmd_ica(args) -> int:
     cfg = IcaConfig(**settings, seed=args.seed)
     mats = [io.read_matrix(p) for p in args.data]
     if args.group:
-        model = run_group_ica(mats, cfg)
-        Y = np.vstack([m - m.mean(axis=1, keepdims=True) for m in mats])
-    else:
-        if len(mats) != 1:
-            raise UsageError("single-run mode takes exactly one data file (use --group)")
-        model = run_single_ica(mats[0], cfg)
+        Y = stack_group(mats)
+    elif len(mats) == 1:
         Y = mats[0]
+    else:
+        raise UsageError("single-run mode takes exactly one data file (use --group)")
+    model = run_single_ica(Y, cfg)
     out = _outdir(args)
     maps = model.S if args.raw else z_scale(model.S, residual_sd(Y, model))
     io.write_matrix(maps, os.path.join(out, "components.rnm"))

@@ -205,11 +205,17 @@ def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
                     stopped=res.stopped, n_iters=res.n_iters)
 
 
-def run_group_ica(datasets, cfg: IcaConfig) -> IcaModel:
-    """Center each dataset's rows, stack them time-wise, and decompose the
-    stacked matrix; the returned S holds the group component maps."""
+def stack_group(datasets) -> np.ndarray:
+    """Center each dataset's rows and stack them time-wise: the matrix that
+    a group decomposition runs on and is scored against."""
     mats = [np.asarray(d, dtype=np.float64) for d in datasets]
-    if len({m.shape[1] for m in mats}) != 1:
-        raise ShapeMismatchError("all datasets must share the location count n")
-    Z = np.vstack([center(m)[1] for m in mats])
-    return run_single_ica(Z, cfg)
+    counts = [m.shape[1] for m in mats]
+    if len(set(counts)) != 1:
+        raise ShapeMismatchError(f"all datasets must share the location count n, got {counts}")
+    return np.vstack([center(m)[1] for m in mats])
+
+
+def run_group_ica(datasets, cfg: IcaConfig) -> IcaModel:
+    """Decompose the stack of the datasets (see stack_group); the returned
+    S holds the group component maps."""
+    return run_single_ica(stack_group(datasets), cfg)

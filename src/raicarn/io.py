@@ -259,7 +259,13 @@ def read_report(path) -> ReproducibilityReport:
 
     n_C, K = need(header, "n_C", int), need(header, "K", int)
     null_path = os.path.join(base, need(header, "null_sample"))
-    null_sample = read_matrix(null_path)[0]
+    null_rows = read_matrix(null_path)
+    if null_rows.shape[0] != 1 or null_rows.shape[1] < 1:
+        raise IoFailureError(
+            f"{null_path}: null sample must be one row of at least one value, "
+            f"got {null_rows.shape[0]}x{null_rows.shape[1]}"
+        )
+    null_sample = null_rows[0]
     p_crit = need(header, "p_crit", float)
     parsed = [
         (need(c, "members", _parse_members), need(c, "anchor", _parse_anchor),

@@ -13,7 +13,7 @@ is non-decreasing (asserted to 1e-8 by the tests).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import DegenerateDataError, NonFiniteError
 
@@ -29,6 +29,7 @@ _DOF_CADENCE = 3  # SQUAREM cycles between dof re-selections
 # to 1e11-1e14, where shape*log(rate) and gammaln(shape) cancel to a loss of
 # about one unit of log density per location and the trace drops.
 _SHAPE_CAP = 100.0
+_NEWTON_STEPS = 3  # Gamma-shape solve: a third step reaches rounding
 # SQUAREM's bound on the step length |alpha| starts at this factor, grows by
 # it after each accepted extrapolation that it clamped and shrinks by it (to
 # no less than the start) after each rejected one. Unbounded, a slow drift
@@ -181,17 +182,15 @@ def _weighted_gamma_mle(y, logy, w):
 
     # log a - digamma(a) falls in a, so the root exceeds the cap exactly when
     # f(cap) > 0; the profile log-likelihood is concave in the shape, so the
-    # cap is then the constrained maximiser
+    # cap is then the constrained maximiser. Below it, Newton steps in 1/a
+    # from a closed-form start (Minka, 2002) reach the root to within
+    # rounding; zeta(2, a) is the trigamma function.
     if f(_SHAPE_CAP) >= 0:
         return _SHAPE_CAP, _SHAPE_CAP / ybar
-    a0 = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    lo, hi = a0 / 10.0, a0 * 10.0
-    while f(lo) < 0:
-        lo /= 10.0
-    while f(hi) > 0:
-        hi *= 10.0
-    shape = optimize.brentq(f, lo, hi, xtol=1e-12, rtol=1e-12)
-    return float(shape), float(shape / ybar)
+    a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    for _ in range(_NEWTON_STEPS):
+        a = 1.0 / (1.0 / a + f(a) / (a - a * a * special.zeta(2.0, a)))
+    return float(a), float(a / ybar)
 
 
 def _select_dof(x, loc, scale, weights=None):

@@ -134,6 +134,20 @@ class TestIca:
         rc = main(["ica", str(d1), str(d2), "--group", "--q", "3", "--seed", "1", "--out", str(out)])
         assert rc == 0
         assert io.read_matrix(out / "components.rnm").shape == (3, 1500)
+        # z-scaled against the residual of the one centred stack the fit ran on
+        assert hashlib.sha256((out / "components.rnm").read_bytes()).hexdigest() == (
+            "31bcca567eae78a047c614a46f2ac5a5b876df30ca4073dd6b7b1bf2a34643eb"
+        )
+
+    def test_group_mode_with_mismatched_n_is_runtime_error(self, tmp_path, capsys):
+        d1 = _ica_data(tmp_path, seed=2)
+        d2 = _ica_data(tmp_path, seed=3, n=1400)
+        out = tmp_path / "gica"
+        rc = main(["ica", str(d1), str(d2), "--group", "--q", "3", "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "location count n, got [1500, 1400]" in err
 
     def test_two_files_without_group_is_usage_error(self, tmp_path):
         d1 = _ica_data(tmp_path, seed=4)
@@ -538,9 +552,11 @@ class TestMixtureCommand:
             assert _same_bytes(tmp_path / "clean" / name, tmp_path / "dirty" / name)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone adds about half a second to every command's start
-    code = "import raicarn.cli, sys; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.linalg"])
+def test_cli_import_leaves_scipy_stats_unloaded(module):
+    # scipy.stats alone adds about half a second to every command's start;
+    # scipy.optimize and the scipy.linalg it loads add 24 MB
+    code = f"import raicarn.cli, sys; print({module!r} in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -574,13 +590,20 @@ class TestRejections:
         if case == "line without '='":
             bad.write_text(runs + "run02.rnm\n")
             return raicarn
-        if case == "member sign not + or -":
+        if case == "member sign not + or -" or case.startswith("null sample"):
             assert main(["raicarn", manifest, "--R", "5", "--seed", "1", "--out", str(tmp_path / "rep")]) == 0
             report = tmp_path / "rep" / "report.txt"
-            text = report.read_text()
-            edited = re.sub(r"^(members = \d+:\d+):[+-]", r"\1:*", text, count=1, flags=re.M)
-            assert edited != text
-            report.write_text(edited)
+            if case.startswith("null sample"):
+                null = tmp_path / "rep" / "report.txt.null.rnm"
+                pool = io.read_matrix(null)  # 1 x 10
+                bad_pool = {"null sample of no rows": pool[:0], "null sample of two rows": np.vstack([pool, pool]),
+                            "null sample of no values": pool[:, :0]}[case]
+                _write_unchecked(bad_pool, null)
+            else:
+                text = report.read_text()
+                edited = re.sub(r"^(members = \d+:\d+):[+-]", r"\1:*", text, count=1, flags=re.M)
+                assert edited != text
+                report.write_text(edited)
             return ["mixture", "--report", str(report), "--manifest", manifest]
         if case == "two mask lines":
             io.write_matrix(np.ones((1, 200)), sim / "ones.rnm")
@@ -609,6 +632,9 @@ class TestRejections:
         ("mask of two rows", 1, "1-row"),
         ("line without '='", 1, "malformed line"),
         ("member sign not + or -", 1, "sign must be + or -"),
+        ("null sample of no rows", 1, "report.txt.null.rnm: null sample must be one row of at least one value, got 0x10"),
+        ("null sample of two rows", 1, "report.txt.null.rnm: null sample must be one row of at least one value, got 2x10"),
+        ("null sample of no values", 1, "report.txt.null.rnm: null sample must be one row of at least one value, got 1x0"),
         ("two mask lines", 1, "bad.txt: manifest lists more than one mask"),
         ("mask not 0/1", 1, "mask.rnm: mask values must be 0 or 1"),
         ("NaN in a run", 1, "run02.rnm: map 2 contains non-finite values"),
@@ -644,12 +670,12 @@ class TestPinnedOutputs:
         "sim/truth.txt": "46098cc040d6384e54af4ec645d535aa01e8cffd4e454c33a938c8c7ef8b20f2",
         "rep/report.txt": "80784ebac2ad7c9e41ca299eba04f1c816f022a36beb287d1bd91e2df891b75a",
         "rep/report.txt.null.rnm": "ec4a7971e05d0708288b9f7d95de87699d2fc45f9bf0c1910e8e18f0814cb362",
-        "mix/comp01_fit.txt": "ee030e20a0f0c49c8b3bf1980e669ac041f4bda1b989f4fe9212cca3c372f39b",
-        "mix/comp01_hist.rnm": "5ecafa999449ede9c2234c082675812f1cc822d4c4ebf282adcba6e51b14c021",
+        "mix/comp01_fit.txt": "acf6868e3c232373126d262955a90a5df7f8c5223ee2ecbb4263ce2443f1e2b3",
+        "mix/comp01_hist.rnm": "79a7c604836fac01c9cd78148ed944c0928345f09be538362be2a1ef8fd88880",
         "mix/comp01_labels.rnm": "c61b261b3b2596ebd998df5c22781c43bec5fa0895776f43f4095ff14feb7372",
         "mix/comp01_tstat.rnm": "0859b2614da3de9f74236ae818cfb061b46173ee75dc22e1dc87403dfcaa0896",
-        "mix/comp02_fit.txt": "0a37dd5526d6e4308db01cb2bd784f3384787be391dca0536352de24e6a1ede9",
-        "mix/comp02_hist.rnm": "f8d380fda285ca1933027e94110c0fd0497c74d7274acb64d699cb7b410dd6cd",
+        "mix/comp02_fit.txt": "fe5322312cf139bd01f43abc10b79ff9b11ca1b47538c6c59936f3ae233ba747",
+        "mix/comp02_hist.rnm": "6162a9ad70aa8e755efb467ffaf51ad49217b2298ff40dc927a602173ea0b909",
         "mix/comp02_labels.rnm": "1a114a505491788b2ff5eb84815f506664ba70cc7aef233bcd98812a31114ce9",
         "mix/comp02_tstat.rnm": "779119ec62817a1532dae94e5f06d8fd2ded3e5edcc3d764185b2e7ff6b484e4",
     }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from raicarn.errors import DegenerateDataError, NonFiniteError
 from raicarn.mixture import (
@@ -14,6 +14,7 @@ from raicarn.mixture import (
     _SHAPE_CAP,
     MixtureConfig,
     MixtureFit,
+    _weighted_gamma_mle,
     classify_voxels,
     fit_mixture,
     group_tstat,
@@ -238,6 +239,55 @@ class TestFitMixture:
             fit_mixture(np.zeros(500))
 
 
+class TestWeightedGammaMle:
+    """The M-step's Gamma-shape solve against a tight bracketing root of
+    log a - digamma(a) = s, with s the weighted log-mean gap of the sample."""
+
+    @staticmethod
+    def _sample(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        y = rng.gamma(shape, 0.5, size=500)
+        return y, np.log(y), rng.uniform(0.01, 1.0, size=500)
+
+    @staticmethod
+    def _ybar_and_gap(y, logy, w):
+        ybar = float(np.dot(w, y) / w.sum())
+        return ybar, np.log(ybar) - float(np.dot(w, logy) / w.sum())
+
+    def _root(self, s):
+        def f(a):
+            return np.log(a) - special.digamma(a) - s
+
+        return optimize.brentq(f, 1e-3, _SHAPE_CAP, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+    def _near_cap(self):
+        # a sample whose MLE shape is 99.9: raise a Gamma sample to the power
+        # that sets its log-mean gap to that of shape 99.9
+        y0, logy0, w = self._sample(50.0, seed=1)
+        target = np.log(99.9) - special.digamma(99.9)
+        p = optimize.brentq(
+            lambda p: self._ybar_and_gap(y0**p, p * logy0, w)[1] - target, 0.1, 10.0, xtol=1e-15
+        )
+        return y0**p, p * logy0, w
+
+    @pytest.mark.parametrize("shape", [0.05, 0.3, 1.0, 4.0, 20.0, 90.0, "near cap"])
+    def test_shape_and_rate_match_a_tight_root(self, shape):
+        y, logy, w = self._near_cap() if shape == "near cap" else self._sample(shape)
+        ybar, s = self._ybar_and_gap(y, logy, w)
+        root = self._root(s)
+        a, rate = _weighted_gamma_mle(y, logy, w)
+        assert abs(a - root) <= 1e-12 * root
+        assert rate == a / ybar
+        if shape == "near cap":
+            assert 99.8 < a < _SHAPE_CAP
+
+    def test_root_above_the_cap_returns_the_cap(self):
+        y, logy, w = self._sample(2e4)
+        ybar, s = self._ybar_and_gap(y, logy, w)
+        assert np.log(_SHAPE_CAP) - special.digamma(_SHAPE_CAP) > s
+        assert _weighted_gamma_mle(y, logy, w) == (_SHAPE_CAP, _SHAPE_CAP / ybar)
+
+
 @pytest.fixture(scope="module")
 def fitted():
     rng = np.random.default_rng(6)
@@ -323,7 +373,7 @@ class TestPinnedOutputs:
         params = np.array([*fit.weights, *fit.t_params, *fit.gamma_pos, *fit.gamma_neg])
         assert (len(fit.loglik_trace), fit.converged) == (71, True)
         assert _digest(params, fit.loglik_trace) == (
-            "526a6bee0727d906a74614d508cbe5aa134d5ea2d9918376888a1c3e2ecbc3d5"
+            "ccc3c133afedd38c261ca0a3eacb2c32b3036cd5b6c0f22f064095e279c669db"
         )
 
     def test_fit_converges_in_fewer_evaluations_than_plain_em(self, planted):
@@ -337,8 +387,8 @@ class TestPinnedOutputs:
             "3eb36906f3b84ba86f4e5440656287cc4abc3c6a2e000a3e26300d2aad40d48c"
         )
         assert _digest(responsibilities(fit, t)) == (
-            "0cd7a1ca9bca80d64a797ad22b84cc6d3706ddbe133cb8737dc3955db1ac2c8e"
+            "b996538ae5cc25c97b8f5088eec51ea86dc211b96a6035e010c6709fb133c664"
         )
         assert _digest(histogram_data(fit, t)) == (
-            "9929df291fd46c8ca093b8bea52d1e628720c8c24b409598cbe53b4df5a1b5f5"
+            "834ffaf422e26eb5032ae3e585dde0a0d74c39a58e927c92d3000e92e5f7194d"
         )
