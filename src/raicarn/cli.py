@@ -11,8 +11,8 @@ import sys
 
 import numpy as np
 
-from . import grouping, io, mixture, synth
-from .config import SECTION_KEYS, load_pipeline_config
+from . import grouping, io, synth
+from .config import SECTION_KEYS, MixtureConfig, load_pipeline_config
 from .errors import DegenerateDataError, DomainError, RaicarnError, ShapeMismatchError
 from .ica import NONLINEARITIES, IcaConfig, residual_sd, run_single_ica, stack_group, z_scale
 from .null import NullConfig, run_raicar_n
@@ -123,20 +123,22 @@ def cmd_simulate(args) -> int:
         n=args.n, n_C=args.nc, K=args.K, n_planted=args.planted,
         overlap=args.overlap, noise_kind=args.family, seed=args.seed,
     )
-    rc, labels = synth.planted_runset(spec)
     out = _outdir(args)
-    run_files = []
-    for r in range(rc.K):
+    run_files, labels = [], [[] for _ in range(spec.n_planted)]
+    # each run is written as soon as it is drawn, so one run is held at a time
+    for r, (maps, slots) in enumerate(synth.planted_runs(spec)):
         name = f"run{r:02d}.rnm"
-        io.write_matrix(rc.maps[r], os.path.join(out, name))
+        io.write_matrix(maps, os.path.join(out, name))
         run_files.append(name)
+        for b, slot in enumerate(slots):
+            labels[b].append(slot)
     io.write_manifest(run_files, os.path.join(out, "manifest.txt"))
     lines = ["# planted ground truth (1-based run:component pairs per base map)"]
     for b, per_run in enumerate(labels, start=1):
         slots = " ".join(f"{r + 1}:{c + 1}" for r, c in enumerate(per_run))
         lines.append(f"base{b} = {slots}")
     io.write_text(os.path.join(out, "truth.txt"), lines)
-    print(f"wrote {rc.K} runs to {out}")
+    print(f"wrote {spec.K} runs to {out}")
     return EXIT_OK
 
 
@@ -203,7 +205,10 @@ def cmd_plan_groups(args) -> int:
 
 
 def cmd_mixture(args) -> int:
-    cfg = mixture.MixtureConfig(**_settings(args, "mixture"))
+    # scipy.special comes in with mixture, so only this command pays for it
+    from . import mixture
+
+    cfg = MixtureConfig(**_settings(args, "mixture"))
     if args.bins < 1:
         raise UsageError(f"--bins must be >= 1, got {args.bins}")
     report = io.read_report(args.report)
@@ -221,8 +226,8 @@ def cmd_mixture(args) -> int:
     stacks = [runs.rows((run, comp) for run, comp, _ in mc.members) for _, mc in fitted]
     out = _outdir(args)
     for (rank, mc), maps in zip(fitted, stacks):
-        aligned = maps * np.array([sign for _, _, sign in mc.members])[:, None]
-        normalized = mixture.normalize_maps(aligned)
+        maps *= np.array([sign for _, _, sign in mc.members], dtype=np.float64)[:, None]
+        normalized = mixture.normalize_maps(maps)
         t_map, degenerate = mixture.group_tstat(normalized)
         try:
             fit = mixture.fit_mixture(t_map, cfg)

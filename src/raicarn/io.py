@@ -20,7 +20,13 @@ from .errors import (
     RaggedRunsError,
     ShapeMismatchError,
 )
-from .types import MatchedComponent, ReproducibilityReport, check_run_shape, validate_run_collection
+from .types import (
+    MatchedComponent,
+    ReproducibilityReport,
+    _mapped_zeros,
+    check_run_shape,
+    validate_run_collection,
+)
 
 MAGIC = b"RNM1"
 _HEADER = struct.Struct("<4sII")
@@ -36,7 +42,7 @@ def write_matrix(matrix, path) -> None:
     try:
         with open(path, "wb") as f:
             f.write(_HEADER.pack(MAGIC, m.shape[0], m.shape[1]))
-            f.write(m.astype("<f8").tobytes())
+            f.write(m.astype("<f8", copy=False))
     except OSError as e:
         raise IoFailureError(str(e)) from e
 
@@ -137,9 +143,9 @@ class RunFiles:
 
     def rows(self, index) -> np.ndarray:
         """The masked maps at the zero-based (run, component) pairs of
-        ``index``, as one array."""
+        ``index``, as one writable array in its own memory map."""
         index = list(index)
-        out = np.empty((len(index), self.n))
+        out = _mapped_zeros((len(index), self.n), np.float64)
         for i, (run, comp) in enumerate(index):
             out[i] = self._read(run, comp, 1)[0]
         return out

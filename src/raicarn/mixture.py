@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .config import MixtureConfig
 from .errors import DegenerateDataError, NonFiniteError
 
 LABEL_NULL = 0
@@ -50,24 +51,30 @@ def normalize_maps(maps) -> np.ndarray:
     Each row is sorted once. A tie run at sorted positions first..last has
     the average rank (first + last) / 2 + 1, a half-integer and so exact,
     and its quantile is looked up by first + last in a table of 2m - 1.
+    Rows go through in blocks of about 2^18 cells, so each temporary stays
+    near 2 MB whatever the stack's height.
     """
     v = np.asarray(maps, dtype=np.float64)
     m = v.shape[-1]
     if m < 2:
         raise DegenerateDataError("need at least 2 values per map")
-    if np.isnan(v).any():
-        raise NonFiniteError("cannot rank NaN values")
     rows = v.reshape(-1, m)
-    order = np.argsort(rows, axis=-1)
-    ordered = np.take_along_axis(rows, order, axis=-1)
-    starts = np.ones(rows.shape, dtype=bool)  # where each tie run begins
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], starts.size) - 1
     table = special.ndtri((np.arange(2 * m - 1) / 2 + 0.5) / m)
-    run_quantile = table[first % m + last % m]
     out = np.empty_like(rows)
-    np.put_along_axis(out, order, run_quantile[np.cumsum(starts).reshape(rows.shape) - 1], axis=-1)
+    step = max(1, 2**18 // m)
+    for s in range(0, len(rows), step):
+        block = rows[s : s + step]
+        if np.isnan(block).any():
+            raise NonFiniteError("cannot rank NaN values")
+        order = np.argsort(block, axis=-1)
+        ordered = np.take_along_axis(block, order, axis=-1)
+        starts = np.ones(block.shape, dtype=bool)  # where each tie run begins
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+        first = np.flatnonzero(starts)
+        last = np.append(first[1:], starts.size) - 1
+        run_quantile = table[first % m + last % m]
+        run_of = np.cumsum(starts).reshape(block.shape) - 1  # tie run of each sorted cell
+        np.put_along_axis(out[s : s + step], order, run_quantile[run_of], axis=-1)
     return out.reshape(v.shape)
 
 
@@ -202,22 +209,6 @@ def _select_dof(x, loc, scale, weights=None):
         if ll > best_ll:
             best, best_ll = dof, ll
     return best
-
-
-@dataclass(frozen=True)
-class MixtureConfig:
-    """EM budget and stopping rule: the fit stops once a plain EM step moves
-    the log-likelihood by less than tol per location (|dL| / n < tol), or
-    after max_iters E-step evaluations."""
-
-    max_iters: int = 500
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 def _m_step(x, resp, params, supports, refit_dof):

@@ -37,6 +37,7 @@ def compute_crcm(runs) -> Crcm:
     # a zero-norm row is already all zeros, so it is left as it is
     np.divide(Z, norms[:, None], out=Z, where=norms[:, None] > 0)
     C = Z @ Z.T
+    del Z  # unmapped now, not after the Crcm is built and checked
     np.clip(C, -1.0, 1.0, out=C)
     return Crcm(K, n_C, C)
 

@@ -69,32 +69,39 @@ class PlantSpec:
             raise DomainError(f"unknown source family {self.noise_kind!r}")
 
 
-def planted_runset(spec: PlantSpec):
-    """Build a RunCollection where n_planted component slots recur across
-    all runs with a controlled overlap.
+def planted_runs(spec: PlantSpec):
+    """Yield the K runs of a planted run set one at a time, so that a caller
+    that writes each run out holds one run, not K.
 
     Each run gets a perturbed copy of each base map, built as
     sqrt(rho) * base + sqrt(1 - rho) * fresh with rho = overlap**2, so
     copies correlate ~overlap with the base and ~overlap**2 with each
     other. Remaining slots are independent filler maps; component order is
-    shuffled per run. Returns (RunCollection, labels) with
-    labels[base][run] = component index of that base's copy in that run.
+    shuffled per run. Yields (maps, slots) per run: maps is (n_C, n), and
+    slots[base] is the component index of that base's copy in the run.
     """
     rng = np.random.default_rng(spec.seed)
     rho = spec.overlap**2
     base = rng.standard_normal((spec.n_planted, spec.n))
-    labels = [[None] * spec.K for _ in range(spec.n_planted)]
-    runs = np.empty((spec.K, spec.n_C, spec.n))
-    for r in range(spec.K):
-        maps = []
+    for _ in range(spec.K):
+        drawn = np.empty((spec.n_C, spec.n))
         for b in range(spec.n_planted):
             fresh = rng.standard_normal(spec.n)
-            maps.append(np.sqrt(rho) * base[b] + np.sqrt(1.0 - rho) * fresh)
-        for _ in range(spec.n_C - spec.n_planted):
-            maps.append(_draw(rng, spec.noise_kind, spec.n))
-        order = rng.permutation(spec.n_C)
-        for slot, src in enumerate(order):
-            runs[r, slot] = maps[src]
-            if src < spec.n_planted:
-                labels[src][r] = slot
-    return RunCollection(runs), labels
+            drawn[b] = np.sqrt(rho) * base[b] + np.sqrt(1.0 - rho) * fresh
+        for c in range(spec.n_planted, spec.n_C):
+            drawn[c] = _draw(rng, spec.noise_kind, spec.n)
+        order = rng.permutation(spec.n_C)  # slot s holds drawn map order[s]
+        yield drawn[order], np.argsort(order)[: spec.n_planted].tolist()
+
+
+def planted_runset(spec: PlantSpec):
+    """The runs of ``planted_runs`` as one RunCollection: returns
+    (RunCollection, labels) with labels[base][run] = component index of
+    that base's copy in that run."""
+    maps = np.empty((spec.K, spec.n_C, spec.n))
+    labels = [[None] * spec.K for _ in range(spec.n_planted)]
+    for r, (run, slots) in enumerate(planted_runs(spec)):
+        maps[r] = run
+        for b, slot in enumerate(slots):
+            labels[b][r] = slot
+    return RunCollection(maps), labels

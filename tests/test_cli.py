@@ -552,15 +552,42 @@ class TestMixtureCommand:
             assert _same_bytes(tmp_path / "clean" / name, tmp_path / "dirty" / name)
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.linalg"])
-def test_cli_import_leaves_scipy_stats_unloaded(module):
-    # scipy.stats alone adds about half a second to every command's start;
-    # scipy.optimize and the scipy.linalg it loads add 24 MB
-    code = f"import raicarn.cli, sys; print({module!r} in sys.modules)"
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; returns its standard output."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.linalg", "scipy", "scipy.special"])
+def test_cli_import_leaves_scipy_stats_unloaded(module):
+    # scipy.stats alone adds about half a second to every command's start;
+    # scipy.optimize and the scipy.linalg it loads add 24 MB. Only `mixture`
+    # needs scipy.special, which with scipy adds 24 MB and 0.3-0.6 s, so
+    # every other command (one process per ICA restart) starts without it.
+    assert _python(f"import raicarn.cli, sys; print({module!r} in sys.modules)").strip() == "False"
+
+
+def test_simulate_holds_one_run_at_a_time(tmp_path):
+    # 32 runs of 4 x 62500 maps are 64 MB. Written as they are drawn, they
+    # raised the peak by 14 MB; built as one run set first, by 74 MB. The
+    # peak is VmHWM, not ru_maxrss: exec carries the launching process's RSS
+    # into ru_maxrss, so under a large test process the growth would not show.
+    code = (
+        "import re, sys\n"
+        "import raicarn.cli\n"
+        "rss = lambda: int(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+        "before = rss()\n"
+        "assert raicarn.cli.main(sys.argv[1:]) == 0\n"
+        "print(rss() - before)\n"
+    )
+    grown_kb = int(_python(code, "simulate", "--K", "32", "--nc", "4", "--planted", "1", "--n", "62500",
+                           "--seed", "3", "--out", str(tmp_path / "sim")).split()[-1])
+    run_set = 32 * 4 * 62_500 * 8
+    assert sum(f.stat().st_size for f in (tmp_path / "sim").glob("run*.rnm")) > run_set
+    assert grown_kb < run_set / 1024 / 2
 
 
 class TestRejections:

@@ -99,6 +99,24 @@ class TestNormalizeEmpirical:
         with pytest.raises(NonFiniteError):
             normalize_maps([[1.0, 2.0, 3.0], [0.0, np.nan, 1.0]])
 
+    def test_stack_of_several_blocks_equals_its_rows_alone(self):
+        # 2^18 cells make a block, so 300 rows of 2000 span three blocks:
+        # rows with ties, a constant row at a block edge, one continuous row,
+        # and a NaN that only the last block holds
+        rng = np.random.default_rng(5)
+        v = rng.integers(-40, 41, (300, 2000)).astype(np.float64)
+        v[131] = 2.5
+        v[7] = rng.standard_normal(2000)
+        v[-1, ::3] = np.nan
+        with pytest.raises(NonFiniteError):
+            normalize_maps(v)
+        v[-1] = -v[0]
+        out = normalize_maps(v)
+        assert out.shape == v.shape
+        assert (out[131] == 0.0).all()
+        for k in range(len(v)):
+            assert out[k].tobytes() == normalize_maps(v[k]).tobytes()
+
 
 class TestGroupTstat:
     def test_identical_maps_degenerate(self):

@@ -11,6 +11,7 @@ from raicarn.synth import (
     PlantSpec,
     gen_mixture,
     gen_sources,
+    planted_runs,
     planted_runset,
 )
 
@@ -121,6 +122,16 @@ class TestPlantedRunset:
                 if (r, c) in planted:
                     continue
                 assert abs(np.corrcoef(copy0, rc.maps[r, c])[0, 1]) < 0.1
+
+    @pytest.mark.parametrize("family", SOURCE_FAMILIES)
+    def test_streamed_runs_are_the_runset(self, family):
+        spec = PlantSpec(n=150, n_C=5, K=4, n_planted=2, overlap=0.8, noise_kind=family, seed=16)
+        rc, labels = planted_runset(spec)
+        runs = list(planted_runs(spec))
+        assert len(runs) == spec.K
+        for r, (maps, slots) in enumerate(runs):
+            assert maps.shape == (spec.n_C, spec.n) and maps.tobytes() == rc.maps[r].tobytes()
+            assert slots == [labels[b][r] for b in range(spec.n_planted)]
 
     def test_deterministic(self):
         spec = PlantSpec(n=200, n_C=3, K=4, n_planted=2, seed=15)
