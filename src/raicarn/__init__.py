@@ -2,9 +2,10 @@
 permutation p-values, plus the supporting decomposition engine, group
 sampling planner, and tail-mixture display."""
 
+from .config import IcaConfig, NullConfig
 from .grouping import GroupPlan, max_group_size, pair_probability, sample_groups
-from .ica import IcaConfig, run_group_ica, run_single_ica
-from .null import NullConfig, run_raicar_n
+from .ica import run_group_ica, run_single_ica
+from .null import run_raicar_n
 from .raicar import compute_crcm, match_components, normalized_reproducibility
 from .synth import PlantSpec, planted_runset
 from .types import (

@@ -12,10 +12,10 @@ import sys
 import numpy as np
 
 from . import grouping, io, synth
-from .config import SECTION_KEYS, MixtureConfig, load_pipeline_config
+from .config import NONLINEARITIES, SECTION_KEYS, IcaConfig, MixtureConfig, NullConfig
 from .errors import DegenerateDataError, DomainError, RaicarnError, ShapeMismatchError
-from .ica import NONLINEARITIES, IcaConfig, residual_sd, run_single_ica, stack_group, z_scale
-from .null import NullConfig, run_raicar_n
+from .ica import residual_sd, run_single_ica, stack_group, z_scale
+from .null import run_raicar_n
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -111,7 +111,7 @@ def _outdir(args) -> str:
 def _settings(args, section) -> dict:
     """The ``--config`` file's [section], overridden by the flags given;
     the config class supplies every default and checks every bound."""
-    settings = load_pipeline_config(args.config)[section] if args.config is not None else {}
+    settings = io.load_pipeline_config(args.config)[section] if args.config is not None else {}
     for key in SECTION_KEYS[section]:
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
@@ -229,25 +229,21 @@ def cmd_mixture(args) -> int:
         maps *= np.array([sign for _, _, sign in mc.members], dtype=np.float64)[:, None]
         normalized = mixture.normalize_maps(maps)
         t_map, degenerate = mixture.group_tstat(normalized)
-        try:
-            fit = mixture.fit_mixture(t_map, cfg)
-        except DegenerateDataError:
-            # No spread to model (e.g. identical member maps): everything null.
-            fit = None
-        if fit is None:
-            labels = np.zeros(t_map.shape[0], dtype=np.int8)
-        else:
-            labels = mixture.classify_voxels(fit, t_map)
-            labels[degenerate] = mixture.LABEL_NULL
         prefix = os.path.join(out, f"comp{rank:02d}")
-        io.write_matrix(t_map[None, :], prefix + "_tstat.rnm")
-        io.write_matrix(labels[None, :].astype(np.float64), prefix + "_labels.rnm")
         lines = [
             "# tail-mixture fit parameters",
             f"rank = {rank}",
             f"degenerate_locations = {int(degenerate.sum())}",
         ]
-        if fit is not None:
+        try:
+            fit = mixture.fit_mixture(t_map, cfg)
+        except DegenerateDataError:
+            # No spread to model (e.g. identical member maps): everything null.
+            labels = np.zeros(t_map.shape[0], dtype=np.int8)
+            lines.append("degenerate = true")
+        else:
+            labels = mixture.classify_voxels(fit, t_map)
+            labels[degenerate] = mixture.LABEL_NULL
             io.write_matrix(mixture.histogram_data(fit, t_map, bins=args.bins), prefix + "_hist.rnm")
             lines += [
                 f"weights = {fit.weights[0]!r} {fit.weights[1]!r} {fit.weights[2]!r}",
@@ -257,8 +253,8 @@ def cmd_mixture(args) -> int:
                 f"converged = {'true' if fit.converged else 'false'}",
                 f"iterations = {len(fit.loglik_trace)}",
             ]
-        else:
-            lines.append("degenerate = true")
+        io.write_matrix(t_map[None, :], prefix + "_tstat.rnm")
+        io.write_matrix(labels[None, :].astype(np.float64), prefix + "_labels.rnm")
         io.write_text(prefix + "_fit.txt", lines)
     print(f"fitted {len(fitted)} significant component(s) to {out}")
     return EXIT_OK

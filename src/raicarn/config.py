@@ -1,23 +1,58 @@
-"""Pipeline configuration file: INI-style sections supplying settings to
-the subcommands that take ``--config`` ([ica] to ``ica``, [null] to
-``raicarn``, [mixture] to ``mixture``). A section's keys and their types
-are the fields of its config class, less ``seed``, which only the
-``--seed`` flag sets. Unknown sections or keys and values of the wrong
-type are rejected at parse time; bounds are checked by the config class
-when the subcommand that reads the section builds it.
+"""Run parameters: ``IcaConfig`` ([ica] in a pipeline config file, read by
+``ica``), ``NullConfig`` ([null], ``raicarn``) and ``MixtureConfig``
+([mixture], ``mixture``). A section's keys and types are the fields of its
+class, less ``seed``, which only ``--seed`` sets; each class checks its
+bounds when built, and ``io.load_pipeline_config`` reads the file. This
+module imports no other module of the package, and no scipy."""
 
-``MixtureConfig`` lives here rather than in ``mixture``, so that reading a
-config file does not import scipy; ``mixture`` re-exports it."""
-
-import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 
-import numpy as np
+NONLINEARITIES = ("tanh", "cubic")
 
-from .errors import IoFailureError
-from .ica import IcaConfig
-from .null import NullConfig
+
+def _check_budget(max_iters, tol) -> None:
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _check_seed(seed) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+@dataclass(frozen=True)
+class IcaConfig:
+    q: int
+    nonlinearity: str = "tanh"
+    max_iters: int = 500
+    tol: float = 1e-6
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.q < 1:
+            raise ValueError(f"model order must be >= 1, got {self.q}")
+        if self.nonlinearity not in NONLINEARITIES:
+            raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
+        _check_budget(self.max_iters, self.tol)
+        _check_seed(self.seed)
+
+
+@dataclass(frozen=True)
+class NullConfig:
+    R: int = 100
+    seed: int = 0
+    p_crit: float = 0.05
+
+    def __post_init__(self):
+        if self.R < 1:
+            raise ValueError(f"R must be >= 1, got {self.R}")
+        if not 0.0 < self.p_crit < 1.0:
+            raise ValueError(f"p_crit must lie in (0, 1), got {self.p_crit}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -30,40 +65,10 @@ class MixtureConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        _check_budget(self.max_iters, self.tol)
 
 
 SECTION_KEYS = {
     section: {f.name: f.type for f in dataclasses.fields(cls) if f.name != "seed"}
     for section, cls in (("ica", IcaConfig), ("null", NullConfig), ("mixture", MixtureConfig))
 }
-
-
-def load_pipeline_config(path) -> dict:
-    """``{section: {key: value}}`` with every known section present (empty
-    when the file leaves it out)."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keys are case-sensitive
-    try:
-        with open(path) as f:
-            parser.read_file(f)
-    except OSError as e:
-        raise IoFailureError(str(e)) from e
-    except (configparser.Error, UnicodeDecodeError) as e:
-        raise ValueError(f"{path}: {e}") from e
-
-    out = {name: {} for name in SECTION_KEYS}
-    for section in parser.sections():
-        if section not in SECTION_KEYS:
-            raise ValueError(f"{path}: unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in SECTION_KEYS[section]:
-                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-            try:
-                out[section][key] = SECTION_KEYS[section][key](raw)
-            except ValueError as e:
-                raise ValueError(f"{path}: bad value for {section}.{key}: {raw!r}") from e
-    return out

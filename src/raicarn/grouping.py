@@ -57,6 +57,8 @@ class GroupPlan:
 
 def _draw_groups(N: int, L: int, K: int, seed: int) -> tuple:
     """K independent uniform L-subsets of N subjects; deterministic given the seed."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return tuple(tuple(int(s) for s in rng.choice(N, size=L, replace=False)) for _ in range(K))
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import IcaConfig
 from .errors import (
     DegenerateDataError,
     NonFiniteError,
@@ -16,29 +17,9 @@ from .errors import (
 )
 from .types import IcaModel
 
-NONLINEARITIES = ("tanh", "cubic")
 # iterations the contrast may go without beating its best before the
 # fixed-point search stops on a plateau
 _PLATEAU = 20
-
-
-@dataclass(frozen=True)
-class IcaConfig:
-    q: int
-    nonlinearity: str = "tanh"
-    max_iters: int = 500
-    tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"model order must be >= 1, got {self.q}")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
-"""Bit-exact file formats: binary matrices, run manifests, reports, plans.
+"""Bit-exact file formats: binary matrices, run manifests, reports, plans;
+and the reader of the pipeline config file.
 
 Matrix files are little-endian regardless of host: 4-byte magic ``RNM1``,
 two uint32 dimensions, then row-major float64 payload. Text documents are
 simple ``key = value`` files; floats are serialized with ``repr`` so that
-write-then-read is the identity.
+write-then-read is the identity. Every file the package reads or writes
+is opened by ``_open``, and every matrix payload is read by ``_read_rows``.
 """
 
+import configparser
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SECTION_KEYS
 from .errors import (
     BadMagicError,
     IoFailureError,
@@ -30,6 +35,20 @@ from .types import (
 
 MAGIC = b"RNM1"
 _HEADER = struct.Struct("<4sII")
+# the keys of a report's header and of each of its [component] sections
+_HEADER_KEYS = ("n_C", "K", "p_crit", "null_sample")
+_COMPONENT_KEYS = ("rank", "reproducibility", "p_value", "significant", "anchor", "members")
+
+
+@contextlib.contextmanager
+def _open(path, mode):
+    """``open(path, mode)``; an OSError from the open or from the body is
+    raised as IoFailureError, here and nowhere else."""
+    try:
+        with open(path, mode) as f:
+            yield f
+    except OSError as e:
+        raise IoFailureError(str(e)) from e
 
 
 def write_matrix(matrix, path) -> None:
@@ -39,33 +58,24 @@ def write_matrix(matrix, path) -> None:
         raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise NonFiniteError("refusing to write non-finite entries")
-    try:
-        with open(path, "wb") as f:
-            f.write(_HEADER.pack(MAGIC, m.shape[0], m.shape[1]))
-            f.write(m.astype("<f8", copy=False))
-    except OSError as e:
-        raise IoFailureError(str(e)) from e
+    with _open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, m.shape[0], m.shape[1]))
+        f.write(m.astype("<f8", copy=False))
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file; error on bad magic or any size mismatch. The
     header is checked against the file size before any payload is read."""
-    try:
-        with open(path, "rb") as f:
-            rows, cols = _read_header(f, path)
-            payload = np.fromfile(f, dtype="<f8", count=rows * cols)
-    except OSError as e:
-        raise IoFailureError(str(e)) from e
-    if payload.size != rows * cols:
-        raise ShapeMismatchError(f"{path}: file shrank while being read")
-    return payload.astype(np.float64, copy=False).reshape(rows, cols)
+    rows, cols = _read_header(path)
+    return _read_rows(path, cols, 0, rows)
 
 
-def _read_header(f, path):
-    """(rows, cols) from an open matrix file's header, checked against the
-    magic and the file size; leaves f at the start of the payload."""
-    size = os.fstat(f.fileno()).st_size
-    header = f.read(_HEADER.size)
+def _read_header(path):
+    """(rows, cols) from a matrix file's header, checked against the magic
+    and the file size."""
+    with _open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise ShapeMismatchError(f"{path}: truncated header")
     magic, rows, cols = _HEADER.unpack(header)
@@ -77,6 +87,17 @@ def _read_header(f, path):
             f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}"
         )
     return rows, cols
+
+
+def _read_rows(path, cols, first, count) -> np.ndarray:
+    """Rows first .. first + count - 1 of a matrix file of ``cols``
+    columns, as a float64 (count, cols) array."""
+    with _open(path, "rb") as f:
+        f.seek(_HEADER.size + first * cols * 8)
+        rows = np.fromfile(f, dtype="<f8", count=count * cols)
+    if rows.size != count * cols:
+        raise ShapeMismatchError(f"{path}: file shrank while being read")
+    return rows.astype(np.float64, copy=False).reshape(count, cols)
 
 
 def write_manifest(run_paths, path, mask_path=None) -> None:
@@ -160,15 +181,7 @@ class RunFiles:
             )
         path = self.paths[run]
         cols = self.n if self.mask is None else self.mask.shape[0]
-        try:
-            with open(path, "rb") as f:
-                f.seek(_HEADER.size + first * cols * 8)
-                maps = np.fromfile(f, dtype="<f8", count=count * cols)
-        except OSError as e:
-            raise IoFailureError(str(e)) from e
-        if maps.size != count * cols:
-            raise ShapeMismatchError(f"{path}: file shrank while being read")
-        maps = maps.astype(np.float64, copy=False).reshape(count, cols)
+        maps = _read_rows(path, cols, first, count)
         if self.mask is not None:
             maps = maps[:, self.mask]
         bad = ~np.isfinite(maps).all(axis=1)
@@ -192,11 +205,7 @@ def open_runs(manifest_path) -> RunFiles:
         mask = m[0] == 1.0
     shape = None
     for p in run_paths:
-        try:
-            with open(p, "rb") as f:
-                rows, cols = _read_header(f, p)
-        except OSError as e:
-            raise IoFailureError(str(e)) from e
+        rows, cols = _read_header(p)
         if mask is not None and cols != mask.shape[0]:
             raise MaskLengthMismatchError(f"{p}: mask length {mask.shape[0]} vs map length {cols}")
         if shape is None:
@@ -239,21 +248,25 @@ def write_report(report: ReproducibilityReport, path) -> None:
 
 def read_report(path) -> ReproducibilityReport:
     """Read back a report written by write_report (round-trip law). A
-    missing key, a value that does not parse, or a header ``n_C`` or ``K``
-    that the components disagree with raises IoFailureError naming the
-    file and the key; values that do not form a valid report, or p-values
-    and significance flags that differ from those its null sample gives,
-    raise IoFailureError naming the file."""
+    missing, unknown or repeated key, a value that does not parse, a
+    ``rank`` other than the component's position, or a header ``n_C`` or
+    ``K`` that the components disagree with raises IoFailureError naming
+    the file and the key; values that do not form a valid report, or
+    p-values and significance flags that differ from those its null sample
+    gives, raise IoFailureError naming the file."""
     base = os.path.dirname(os.path.abspath(path))
     header = {}
     components = []
     for key, value in _read_kv(path, section_key="[component]"):
         if key == "[component]":
             components.append({})
-        elif components:
-            components[-1][key] = value
-        else:
-            header[key] = value
+            continue
+        section, known = (components[-1], _COMPONENT_KEYS) if components else (header, _HEADER_KEYS)
+        if key not in known:
+            raise IoFailureError(f"{path}: unknown report key {key!r}")
+        if key in section:
+            raise IoFailureError(f"{path}: repeated key {key!r}")
+        section[key] = value
 
     def need(d, key, parse=str):
         if key not in d:
@@ -273,6 +286,9 @@ def read_report(path) -> ReproducibilityReport:
         )
     null_sample = null_rows[0]
     p_crit = need(header, "p_crit", float)
+    for position, c in enumerate(components, start=1):
+        if need(c, "rank", int) != position:
+            raise IoFailureError(f"{path}: component {position} has 'rank' = {c['rank']}")
     parsed = [
         (need(c, "members", _parse_members), need(c, "anchor", _parse_anchor),
          need(c, "reproducibility", float))
@@ -320,23 +336,18 @@ def _parse_members(text):
 
 
 def write_text(path, lines) -> None:
-    try:
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as e:
-        raise IoFailureError(str(e)) from e
+    with _open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _read_kv(path, section_key=None):
     """Yield (key, value) pairs; section markers are yielded as
     (marker, None) when section_key is given."""
-    try:
-        with open(path) as f:
+    with _open(path, "r") as f:
+        try:
             raw = f.read()
-    except OSError as e:
-        raise IoFailureError(str(e)) from e
-    except UnicodeDecodeError as e:
-        raise IoFailureError(f"{path}: not a text file ({e})") from e
+        except UnicodeDecodeError as e:
+            raise IoFailureError(f"{path}: not a text file ({e})") from e
     for line in raw.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -348,3 +359,31 @@ def _read_kv(path, section_key=None):
             raise IoFailureError(f"{path}: malformed line {line!r}")
         key, _, value = line.partition("=")
         yield key.strip(), value.strip()
+
+
+def load_pipeline_config(path) -> dict:
+    """An INI pipeline config file as ``{section: {key: value}}``, with
+    every section of ``config.SECTION_KEYS`` present (empty when the file
+    leaves it out). An unknown section or key, a value of the wrong type or
+    a non-text file raises ValueError naming the file; bounds are left to
+    the config class that the subcommand reading the section builds."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive
+    with _open(path, "r") as f:
+        try:
+            parser.read_file(f)
+        except (configparser.Error, UnicodeDecodeError) as e:
+            raise ValueError(f"{path}: {e}") from e
+
+    out = {name: {} for name in SECTION_KEYS}
+    for section in parser.sections():
+        if section not in SECTION_KEYS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in SECTION_KEYS[section]:
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+            try:
+                out[section][key] = SECTION_KEYS[section][key](raw)
+            except ValueError as e:
+                raise ValueError(f"{path}: bad value for {section}.{key}: {raw!r}") from e
+    return out

@@ -12,10 +12,9 @@ a replicate's values do not depend on R, on the batching, or on which
 replicates ran before.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import NullConfig
 # match_components is not called here; it stays bound because the
 # benchmark's tracer wraps null.match_components.
 from .raicar import (
@@ -31,19 +30,6 @@ from .raicar import (
 # p_values is not called here; it stays bound because the benchmark's
 # tracer wraps null.p_values, and callers import it from this module.
 from .types import Crcm, ReproducibilityReport, RunCollection, p_values  # noqa: F401
-
-
-@dataclass(frozen=True)
-class NullConfig:
-    R: int = 100
-    seed: int = 0
-    p_crit: float = 0.05
-
-    def __post_init__(self):
-        if self.R < 1:
-            raise ValueError(f"R must be >= 1, got {self.R}")
-        if not 0.0 < self.p_crit < 1.0:
-            raise ValueError(f"p_crit must lie in (0, 1), got {self.p_crit}")
 
 
 def permute_crcm(G: Crcm, g) -> Crcm:

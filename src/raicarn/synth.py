@@ -67,6 +67,8 @@ class PlantSpec:
             raise DomainError(f"overlap must lie in (0, 1], got {self.overlap}")
         if self.noise_kind not in SOURCE_FAMILIES:
             raise DomainError(f"unknown source family {self.noise_kind!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 def planted_runs(spec: PlantSpec):

@@ -47,7 +47,10 @@ class RunCollection:
     maps: np.ndarray
 
     def __post_init__(self):
-        maps = np.asarray(self.maps, dtype=np.float64)
+        try:
+            maps = np.asarray(self.maps, dtype=np.float64)
+        except ValueError as e:
+            raise RaggedRunsError(f"all runs must share n_C and map length n: {e}") from e
         if maps.ndim != 3:
             raise RaggedRunsError(f"expected a (K, n_C, n) array, got ndim={maps.ndim}")
         check_run_shape(*maps.shape)
@@ -87,11 +90,7 @@ def validate_run_collection(runs) -> RunCollection:
     """Build a RunCollection from nested lists or an array, checking shape
     and finiteness; a float64 (K, n_C, n) array is frozen in place, not
     copied. Raises RaggedRunsError / NonFiniteError / TooFewRunsError."""
-    try:
-        maps = np.asarray(runs, dtype=np.float64)
-    except ValueError as e:
-        raise RaggedRunsError(f"all runs must share n_C and map length n: {e}") from e
-    return RunCollection(maps)
+    return RunCollection(runs)
 
 
 @dataclass(frozen=True)
@@ -192,8 +191,11 @@ class ReproducibilityReport:
         reps = [mc.reproducibility for mc in self.matched]
         if any(b > a + 1e-12 for a, b in zip(reps, reps[1:])):
             raise ValueError("matched components must be sorted by descending reproducibility")
+        null_sample = _freeze(self.null_sample)
+        if not np.isfinite(null_sample).all():
+            raise ValueError("null sample contains non-finite values")
         object.__setattr__(self, "matched", tuple(self.matched))
-        object.__setattr__(self, "null_sample", _freeze(self.null_sample))
+        object.__setattr__(self, "null_sample", null_sample)
         object.__setattr__(self, "p_crit", float(self.p_crit))
         object.__setattr__(self, "p_values", _freeze(p_values(reps, self.null_sample)))
 

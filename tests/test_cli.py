@@ -590,6 +590,15 @@ def test_simulate_holds_one_run_at_a_time(tmp_path):
     assert grown_kb < run_set / 1024 / 2
 
 
+# report edits: (pattern, replacement) applied once to report.txt
+REPORT_EDITS = {
+    "member sign not + or -": (r"^(members = \d+:\d+):[+-]", r"\1:*"),
+    "rank not the position": (r"^rank = 2$", "rank = 1"),
+    "unknown report key": (r"^(rank = 2)$", r"\1\nfoo = bar"),
+    "repeated report key": (r"^(rank = 1)$", r"\1\n\1"),
+}
+
+
 class TestRejections:
     """Bad input that reaches the command line exits 1 (runtime or I/O) or
     2 (usage) with a one-line error, never a traceback."""
@@ -617,18 +626,20 @@ class TestRejections:
         if case == "line without '='":
             bad.write_text(runs + "run02.rnm\n")
             return raicarn
-        if case == "member sign not + or -" or case.startswith("null sample"):
+        if case in REPORT_EDITS or case.startswith("null sample"):
             assert main(["raicarn", manifest, "--R", "5", "--seed", "1", "--out", str(tmp_path / "rep")]) == 0
             report = tmp_path / "rep" / "report.txt"
             if case.startswith("null sample"):
                 null = tmp_path / "rep" / "report.txt.null.rnm"
                 pool = io.read_matrix(null)  # 1 x 10
+                with_nan = pool.copy()
+                with_nan[0, 3] = np.nan
                 bad_pool = {"null sample of no rows": pool[:0], "null sample of two rows": np.vstack([pool, pool]),
-                            "null sample of no values": pool[:, :0]}[case]
+                            "null sample of no values": pool[:, :0], "null sample with a NaN": with_nan}[case]
                 _write_unchecked(bad_pool, null)
             else:
                 text = report.read_text()
-                edited = re.sub(r"^(members = \d+:\d+):[+-]", r"\1:*", text, count=1, flags=re.M)
+                edited = re.sub(*REPORT_EDITS[case], text, count=1, flags=re.M)
                 assert edited != text
                 report.write_text(edited)
             return ["mixture", "--report", str(report), "--manifest", manifest]
@@ -650,6 +661,13 @@ class TestRejections:
             return ["raicarn", manifest, "--R", "5", "--seed", "1"]
         if case == "ica without --q":
             return ["ica", str(sim / "run00.rnm"), "--seed", "1"]
+        if case.startswith("negative seed to "):
+            return {
+                "ica": ["ica", str(sim / "run00.rnm"), "--q", "1"],
+                "raicarn": ["raicarn", manifest, "--R", "5"],
+                "simulate": ["simulate", "--K", "4", "--nc", "2", "--planted", "1", "--n", "200"],
+                "plan-groups": ["plan-groups", "--N", "23", "--alpha", "0.05"],
+            }[case.removeprefix("negative seed to ")] + ["--seed", "-1"]
         raise AssertionError(case)
 
     @pytest.mark.parametrize("case, code, says", [
@@ -659,13 +677,21 @@ class TestRejections:
         ("mask of two rows", 1, "1-row"),
         ("line without '='", 1, "malformed line"),
         ("member sign not + or -", 1, "sign must be + or -"),
+        ("rank not the position", 1, "report.txt: component 2 has 'rank' = 1"),
+        ("unknown report key", 1, "report.txt: unknown report key 'foo'"),
+        ("repeated report key", 1, "report.txt: repeated key 'rank'"),
         ("null sample of no rows", 1, "report.txt.null.rnm: null sample must be one row of at least one value, got 0x10"),
         ("null sample of two rows", 1, "report.txt.null.rnm: null sample must be one row of at least one value, got 2x10"),
         ("null sample of no values", 1, "report.txt.null.rnm: null sample must be one row of at least one value, got 1x0"),
+        ("null sample with a NaN", 1, "report.txt: null sample contains non-finite values"),
         ("two mask lines", 1, "bad.txt: manifest lists more than one mask"),
         ("mask not 0/1", 1, "mask.rnm: mask values must be 0 or 1"),
         ("NaN in a run", 1, "run02.rnm: map 2 contains non-finite values"),
         ("ica without --q", 2, "--q is required"),
+        ("negative seed to ica", 2, "seed must be >= 0, got -1"),
+        ("negative seed to raicarn", 2, "seed must be >= 0, got -1"),
+        ("negative seed to simulate", 2, "seed must be >= 0, got -1"),
+        ("negative seed to plan-groups", 2, "seed must be >= 0, got -1"),
     ])
     def test_clean_exit(self, tmp_path, capsys, case, code, says):
         argv = self._argv(tmp_path, case)

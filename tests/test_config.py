@@ -1,6 +1,6 @@
 import pytest
 
-from raicarn.config import load_pipeline_config
+from raicarn.io import load_pipeline_config
 from raicarn.errors import IoFailureError
 
 

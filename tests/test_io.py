@@ -84,6 +84,14 @@ class TestMatrixFormat:
         with pytest.raises(IoFailureError):
             io.read_matrix(tmp_path / "nope.rnm")
 
+    @pytest.mark.parametrize("write", [
+        lambda path: io.write_matrix(np.eye(2), path),
+        lambda path: io.write_text(path, ["x = 1"]),
+    ])
+    def test_write_into_missing_directory(self, tmp_path, write):
+        with pytest.raises(IoFailureError, match="absent"):
+            write(tmp_path / "absent" / "out")
+
     @settings(max_examples=30, deadline=None)
     @given(
         m=nps.arrays(
@@ -208,6 +216,21 @@ class TestRunFiles:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ShapeMismatchError, match="expected 3212 bytes"):
             io.open_runs(manifest)
+
+    @pytest.mark.parametrize("removed", [True, False])
+    def test_file_changed_after_its_header_was_checked(self, tmp_path, removed):
+        manifest, names = self._manifest(tmp_path, masked=False)
+        runs = io.open_runs(manifest)
+        path = tmp_path / names[1]
+        if removed:
+            path.unlink()
+            error, says = IoFailureError, names[1]
+        else:
+            path.write_bytes(path.read_bytes()[:-8])
+            error, says = ShapeMismatchError, f"{names[1]}: file shrank"
+        for read in (lambda: runs.run(1), lambda: runs.rows([(0, 0), (1, 3)])):
+            with pytest.raises(error, match=says):
+                read()
 
     def test_one_run_is_too_few(self, tmp_path):
         manifest, _ = self._manifest(tmp_path, masked=False, K=1)

@@ -138,6 +138,11 @@ class TestReport:
         with pytest.raises(ValueError, match="non-empty"):
             ReproducibilityReport((self._mc(0.5),), np.array([]), 0.05)
 
+    def test_null_sample_must_be_finite(self):
+        # a NaN sorts last and would count as an exceedance of any observation
+        with pytest.raises(ValueError, match="non-finite"):
+            ReproducibilityReport((self._mc(0.5),), np.array([np.nan, 0.2, np.inf]), 0.05)
+
     @pytest.mark.parametrize("p_crit", [0.0, 1.0, -0.1, 1.5])
     def test_p_crit_must_lie_in_the_open_unit_interval(self, p_crit):
         with pytest.raises(ValueError, match="p_crit"):
