@@ -14,7 +14,6 @@ from .types import (
     MatchedComponent,
     ReproducibilityReport,
     RunCollection,
-    validate_run_collection,
 )
 
 __version__ = "0.1.0"
@@ -39,5 +38,4 @@ __all__ = [
     "run_raicar_n",
     "run_single_ica",
     "sample_groups",
-    "validate_run_collection",
 ]

@@ -225,6 +225,7 @@ def cmd_mixture(args) -> int:
               enumerate(zip(report.matched, report.significant), start=1) if sig]
     stacks = [runs.rows((run, comp) for run, comp, _ in mc.members) for _, mc in fitted]
     out = _outdir(args)
+    n_degenerate = 0
     for (rank, mc), maps in zip(fitted, stacks):
         maps *= np.array([sign for _, _, sign in mc.members], dtype=np.float64)[:, None]
         normalized = mixture.normalize_maps(maps)
@@ -238,7 +239,8 @@ def cmd_mixture(args) -> int:
         try:
             fit = mixture.fit_mixture(t_map, cfg)
         except DegenerateDataError:
-            # No spread to model (e.g. identical member maps): everything null.
+            # Too few locations or no spread to model: everything null.
+            n_degenerate += 1
             labels = np.zeros(t_map.shape[0], dtype=np.int8)
             lines.append("degenerate = true")
         else:
@@ -256,7 +258,8 @@ def cmd_mixture(args) -> int:
         io.write_matrix(t_map[None, :], prefix + "_tstat.rnm")
         io.write_matrix(labels[None, :].astype(np.float64), prefix + "_labels.rnm")
         io.write_text(prefix + "_fit.txt", lines)
-    print(f"fitted {len(fitted)} significant component(s) to {out}")
+    print(f"fitted {len(fitted) - n_degenerate} of {len(fitted)} significant component(s) "
+          f"to {out}; {n_degenerate} degenerate")
     return EXIT_OK
 
 

@@ -4,12 +4,13 @@ Student-t background with positive- and negative-tail shifted Gammas.
 
 The EM loop is a generalized EM: every M-step conditionally maximizes the
 complete-data objective, so each plain step cannot lower the
-log-likelihood. SQUAREM (Varadhan & Roland, 2008) extrapolates from two
-such steps, and a guard keeps an extrapolated point only when it is at
-least as likely as the second step, so the recorded log-likelihood trace
-is non-decreasing (asserted to 1e-8 by the tests).
+log-likelihood. Each pass is one SQUAREM cycle (Varadhan & Roland, 2008):
+two plain steps, then one extrapolation, kept only when it is at least as
+likely as the second step, so the recorded log-likelihood trace is
+non-decreasing (asserted to 1e-8 by the tests).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +151,7 @@ def _class_logpdfs(x, t_params, gammas, supports):
     """Class log densities, rows (t, Gamma+, Gamma-); -inf off a Gamma's support."""
     lp = np.full((3, x.shape[0]), -np.inf)
     lp[0] = _t_logpdf(x, *t_params)
-    for k, ((shape, rate, _), (idx, y, logy)) in enumerate(zip(gammas, supports), start=1):
+    for k, ((shape, rate), (idx, y, logy)) in enumerate(zip(gammas, supports), start=1):
         lp[k, idx] = shape * np.log(rate) - special.gammaln(shape) + (shape - 1) * logy - rate * y
     return lp
 
@@ -220,7 +221,7 @@ def _m_step(x, resp, params, supports, refit_dof):
     if weights[0] > _WEIGHT_FREEZE:
         t_params = _update_t(x, resp[0], t_params, refit_dof)
     gammas = tuple(
-        (*_weighted_gamma_mle(y, logy, resp[k][idx]), g[2]) if weights[k] > _WEIGHT_FREEZE else g
+        _weighted_gamma_mle(y, logy, resp[k][idx]) if weights[k] > _WEIGHT_FREEZE else g
         for k, (g, (idx, y, logy)) in enumerate(zip(gammas, supports), start=1)
     )
     return weights, t_params, gammas
@@ -229,17 +230,16 @@ def _m_step(x, resp, params, supports, refit_dof):
 def _unconstrained(params):
     """SQUAREM coordinates of a point: log weights, location, log scale and
     the log shape and rate of each Gamma."""
-    weights, (loc, scale, _), ((a1, b1, _), (a2, b2, _)) = params
+    weights, (loc, scale, _), ((a1, b1), (a2, b2)) = params
     with np.errstate(divide="ignore"):
         return np.array([*np.log(weights), loc, *np.log([scale, a1, b1, a2, b2])])
 
 
 def _squarem_point(p0, p1, p2, step_max):
     """The S3 extrapolation of two EM steps p0 -> p1 -> p2, its step length
-    clamped to [-step_max, -1], with p2's dof and shifts and the shapes
-    capped. Returns (point, clamped); the point is None when the step length
-    is -1, which gives back p2, or when it is not finite (e.g. from a weight
-    of exactly 0)."""
+    clamped to [-step_max, -1], with p2's dof and the shapes capped. Returns
+    (point, clamped); the point is None when the step length is -1, which
+    gives back p2, or when it is not finite (e.g. from a weight of 0)."""
     th0, th1, th2 = _unconstrained(p0), _unconstrained(p1), _unconstrained(p2)
     r = th1 - th0
     v = (th2 - th1) - r
@@ -255,23 +255,23 @@ def _squarem_point(p0, p1, p2, step_max):
         scale, a1, b1, a2, b2 = np.exp(th[4:])
     if not np.isfinite([*th, scale, b1, b2]).all():
         return None, clamped
-    _, (_, _, dof), ((_, _, shift_pos), (_, _, shift_neg)) = p2
-    return (w / w.sum(), (th[3], scale, dof), ((a1, b1, shift_pos), (a2, b2, shift_neg))), clamped
+    return (w / w.sum(), (th[3], scale, p2[1][2]), ((a1, b1), (a2, b2))), clamped
 
 
 def fit_mixture(t_map, cfg: MixtureConfig = MixtureConfig()) -> MixtureFit:
-    """EM fit of the t / Gamma+ / Gamma- mixture to a statistic map; stops
+    """EM fit of the t / Gamma+ / Gamma- mixture to a statistic map of at
+    least 100 values with some spread (else DegenerateDataError); stops
     when a plain EM step moves the log-likelihood by less than cfg.tol per
     location (|dL| / n < cfg.tol), or after cfg.max_iters evaluations.
 
-    Each SQUAREM cycle takes two plain EM steps, extrapolates from them with
-    an adaptively bounded step length and keeps the extrapolated point only
-    if its log-likelihood is at least the second step's; an evaluation is
-    one E-step, and loglik_trace holds the log-likelihood of the current
+    Each pass is one SQUAREM cycle: two plain EM steps, then one
+    extrapolation from them with an adaptively bounded step length, kept
+    only if its log-likelihood is at least the second step's. An evaluation
+    is one E-step, and loglik_trace holds the log-likelihood of the current
     point after each one (a rejected extrapolation repeats the last value).
 
     The background dof is picked from a small grid (re-selected in the
-    first step of every few cycles as a conditional-maximization step, so
+    first step of every third cycle as a conditional-maximization step, so
     the trace stays monotone, and held through the rest of the cycle);
     Gamma shifts are fixed at the upper decile of the data (respectively
     negated data), far enough out that a pure background drives both tail
@@ -293,56 +293,53 @@ def fit_mixture(t_map, cfg: MixtureConfig = MixtureConfig()) -> MixtureFit:
 
     shifts = (float(np.quantile(x, _SHIFT_QUANTILE)), float(np.quantile(-x, _SHIFT_QUANTILE)))
     supports = _tail_supports(x, *shifts)
-    gammas = tuple((*_init_gamma(y), shift) for (_, y, _), shift in zip(supports, shifts))
 
-    def e_step(params):
-        weights, t_params, gammas = params
+    def e_step(weights, t_params, gammas):
         return _posterior(_class_logpdfs(x, t_params, gammas, supports), weights, supports)
 
+    gammas = tuple(_init_gamma(y) for _, y, _ in supports)
     params = (np.array([0.9, 0.05, 0.05]), (loc, scale, dof), gammas)
-    ll, resp = e_step(params)
+    ll, resp = e_step(*params)
     trace = [ll]
-    cycle = [params]  # the points of the current SQUAREM cycle
-    n_cycles = 0
     step_max = _STEP_FACTOR
     converged = False
-    while not converged and len(trace) < cfg.max_iters:
-        if len(cycle) < 3:
-            refit_dof = len(cycle) == 1 and n_cycles % _DOF_CADENCE == 0
+    for cycle in itertools.count():
+        points = [params]
+        for refit_dof in (cycle % _DOF_CADENCE == 0, False):
+            if converged or len(trace) >= cfg.max_iters:
+                break
             params = _m_step(x, resp, params, supports, refit_dof)
-            cycle.append(params)
-            new_ll, resp = e_step(params)
+            points.append(params)
+            new_ll, resp = e_step(*params)
             # only a plain step measures convergence: an extrapolation that
             # lands near the second step's point gains little even far from
             # the optimum
             converged = abs(new_ll - ll) < cfg.tol * n
             ll = new_ll
-        else:
-            n_cycles += 1
-            candidate, clamped = _squarem_point(*cycle, step_max)
-            cycle = [params]
-            if candidate is None:
-                continue
-            # a far extrapolation may overflow; a non-finite log-likelihood
-            # then fails the guard
-            with np.errstate(all="ignore"):
-                cand_ll, cand_resp = e_step(candidate)
-            accepted = cand_ll >= ll
-            if accepted:
-                params, ll, resp = candidate, cand_ll, cand_resp
-                cycle = [params]
-            if clamped and accepted:
+            trace.append(ll)
+        if converged or len(trace) >= cfg.max_iters:
+            break
+        candidate, clamped = _squarem_point(*points, step_max)
+        if candidate is None:
+            continue
+        # a far extrapolation may overflow; a non-finite log-likelihood then
+        # fails the guard
+        with np.errstate(all="ignore"):
+            cand_ll, cand_resp = e_step(*candidate)
+        if cand_ll >= ll:
+            params, ll, resp = candidate, cand_ll, cand_resp
+            if clamped:
                 step_max *= _STEP_FACTOR
-            elif clamped:
-                step_max = max(step_max / _STEP_FACTOR, _STEP_FACTOR)
+        elif clamped:
+            step_max = max(step_max / _STEP_FACTOR, _STEP_FACTOR)
         trace.append(ll)
 
     weights, t_params, (gamma_pos, gamma_neg) = params
     return MixtureFit(
         weights=tuple(weights),
         t_params=tuple(map(float, t_params)),
-        gamma_pos=tuple(map(float, gamma_pos)),
-        gamma_neg=tuple(map(float, gamma_neg)),
+        gamma_pos=(*map(float, gamma_pos), shifts[0]),
+        gamma_neg=(*map(float, gamma_neg), shifts[1]),
         loglik_trace=np.array(trace),
         converged=converged,
     )
@@ -361,7 +358,7 @@ def _init_gamma(y):
     return shape, max(shape / m, 1e-6)
 
 
-def _update_t(x, r, t_params, refit_dof=False):
+def _update_t(x, r, t_params, refit_dof):
     """One conditional-maximization step for the t location and scale
     (latent-scale EM update); optionally re-selects the dof from the grid,
     which is itself a conditional maximization and keeps the EM monotone."""
@@ -379,7 +376,7 @@ def _update_t(x, r, t_params, refit_dof=False):
 def _fit_logpdfs(fit: MixtureFit, x):
     """(class log densities, tail supports) of a fitted mixture at x."""
     supports = _tail_supports(x, fit.gamma_pos[2], fit.gamma_neg[2])
-    return _class_logpdfs(x, fit.t_params, (fit.gamma_pos, fit.gamma_neg), supports), supports
+    return _class_logpdfs(x, fit.t_params, (fit.gamma_pos[:2], fit.gamma_neg[:2]), supports), supports
 
 
 def responsibilities(fit: MixtureFit, t_map) -> np.ndarray:

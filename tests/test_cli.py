@@ -418,6 +418,24 @@ class TestMixtureCommand:
         assert not labels.any()
         assert "degenerate = true" in (out / "comp01_fit.txt").read_text()
 
+    def test_map_below_100_locations_is_degenerate(self, tmp_path, capsys):
+        # fit_mixture needs 100 values; a smaller map exits 0 with every
+        # location null, no histogram and the summary counting it degenerate
+        manifest = _simulate(tmp_path / "sim", seed=0, K=10, nc=2, planted=2, overlap=0.9, n=60)
+        assert main(["raicarn", manifest, "--R", "50", "--seed", "0", "--out", str(tmp_path / "rep")]) == 0
+        assert io.read_report(tmp_path / "rep" / "report.txt").significant.all()
+        capsys.readouterr()
+        out = tmp_path / "mix"
+        rc = main(["mixture", "--report", str(tmp_path / "rep" / "report.txt"),
+                   "--manifest", manifest, "--out", str(out)])
+        assert rc == 0
+        for rank in ("01", "02"):
+            assert "degenerate = true" in (out / f"comp{rank}_fit.txt").read_text()
+            assert not io.read_matrix(out / f"comp{rank}_labels.rnm").any()
+            assert not (out / f"comp{rank}_hist.rnm").exists()
+        summary = capsys.readouterr().out
+        assert "fitted 0 of 2 significant component(s)" in summary and "2 degenerate" in summary
+
     def test_missing_report_is_runtime_error(self, tmp_path):
         manifest = _simulate(tmp_path / "sim", seed=23)
         rc = main(["mixture", "--report", str(tmp_path / "gone.txt"),

@@ -394,6 +394,16 @@ class TestPinnedOutputs:
             "ccc3c133afedd38c261ca0a3eacb2c32b3036cd5b6c0f22f064095e279c669db"
         )
 
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_fit_stops_at_every_point_of_a_cycle(self, planted, m):
+        # the first three cycles each extrapolate, so m = 1..9 stop after the
+        # first step, after the second step and after the extrapolation,
+        # three times over, and the capped fit is a prefix of the full one
+        _, t, fit = planted
+        capped = fit_mixture(t, MixtureConfig(max_iters=m))
+        assert len(capped.loglik_trace) == m and not capped.converged
+        np.testing.assert_array_equal(capped.loglik_trace, fit.loglik_trace[:m])
+
     def test_fit_converges_in_fewer_evaluations_than_plain_em(self, planted):
         # plain EM with an absolute tolerance stopped this fit after 412
         fit = planted[2]
@@ -409,4 +419,16 @@ class TestPinnedOutputs:
         )
         assert _digest(histogram_data(fit, t)) == (
             "834ffaf422e26eb5032ae3e585dde0a0d74c39a58e927c92d3000e92e5f7194d"
+        )
+
+    def test_squarem_branch_fit_is_pinned(self):
+        # The planted fit above rejects 6 extrapolations, skips one whose
+        # step length comes out short of -1 and grows the step bound twice,
+        # but never shrinks the bound. This fit takes each of those branches
+        # and also shrinks the bound after a rejected clamped step, 16 -> 4.
+        fit = fit_mixture(np.random.default_rng(19).standard_normal(100))
+        params = np.array([*fit.weights, *fit.t_params, *fit.gamma_pos, *fit.gamma_neg])
+        assert (len(fit.loglik_trace), fit.converged) == (37, True)
+        assert _digest(params, fit.loglik_trace) == (
+            "ec1d15a3bbc5977548874dd21df78dd4fe4e915c964e78e000379ddd77058857"
         )

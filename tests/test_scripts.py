@@ -11,6 +11,8 @@ TINY = ["--trials", "1", "--R", "5", "--K", "3", "--nc", "3", "--n", "200"]
 ARGS = {
     "null_calibration.py": TINY,
     "overlap_sweep.py": TINY + ["--planted", "1"],
+    # R=20 leaves both planted components significant, so mixture fits them
+    "output_digests.py": ["--K", "6", "--nc", "3", "--planted", "2", "--n", "300", "--R", "20"],
     "planted_demo.py": ["--outdir", "demo"],  # written under the tmp_path cwd
 }
 
