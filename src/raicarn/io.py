@@ -89,15 +89,20 @@ def _read_header(path):
     return rows, cols
 
 
-def _read_rows(path, cols, first, count) -> np.ndarray:
-    """Rows first .. first + count - 1 of a matrix file of ``cols``
-    columns, as a float64 (count, cols) array."""
+def _read_rows(path, cols, first, count, lo=0, hi=None) -> np.ndarray:
+    """Columns lo .. hi - 1 (all ``cols`` by default) of rows first ..
+    first + count - 1 of a matrix file of ``cols`` columns, as a float64
+    (count, hi - lo) array."""
+    hi = cols if hi is None else hi
+    out = np.empty((count, hi - lo), dtype="<f8")
+    # whole rows are one stretch of the file; a column range is one per row
+    stretches = [out.reshape(-1)] if hi - lo == cols else out
     with _open(path, "rb") as f:
-        f.seek(_HEADER.size + first * cols * 8)
-        rows = np.fromfile(f, dtype="<f8", count=count * cols)
-    if rows.size != count * cols:
-        raise ShapeMismatchError(f"{path}: file shrank while being read")
-    return rows.astype(np.float64, copy=False).reshape(count, cols)
+        for i, stretch in enumerate(stretches):
+            f.seek(_HEADER.size + ((first + i) * cols + lo) * 8)
+            if f.readinto(stretch) != stretch.nbytes:
+                raise ShapeMismatchError(f"{path}: file shrank while being read")
+    return out.astype(np.float64, copy=False)
 
 
 def write_manifest(run_paths, path, mask_path=None) -> None:
@@ -144,10 +149,11 @@ def load_runs(manifest_path):
 class RunFiles:
     """The run files of a manifest, their headers checked and their payload
     unread: ``K`` runs of ``n_C`` maps, each of length ``n`` after the mask.
-    It is the one reader of map payloads: ``run`` reads one run's maps and
-    ``rows`` single maps, so the CRCM holds one run at a time and a caller
-    that needs a few maps of many runs reads only those. Both apply the
-    mask and raise NonFiniteError naming the file and the map."""
+    It is the one reader of map payloads: ``run`` reads one run's maps, whole
+    or over a range of locations, and ``rows`` single maps, so the CRCM
+    holds one run, or one block of locations of every run, at a time and a
+    caller that needs a few maps of many runs reads only those. Both apply
+    the mask and raise NonFiniteError naming the file and the map."""
 
     paths: tuple
     n_C: int
@@ -158,9 +164,10 @@ class RunFiles:
     def K(self) -> int:
         return len(self.paths)
 
-    def run(self, r) -> np.ndarray:
-        """The masked (n_C, n) maps of zero-based run r."""
-        return self._read(r, 0, self.n_C)
+    def run(self, r, lo=0, hi=None) -> np.ndarray:
+        """The masked maps of zero-based run r at locations lo .. hi - 1
+        (all n by default), as an (n_C, hi - lo) array."""
+        return self._read(r, 0, self.n_C, lo, self.n if hi is None else hi)
 
     def rows(self, index) -> np.ndarray:
         """The masked maps at the zero-based (run, component) pairs of
@@ -168,22 +175,31 @@ class RunFiles:
         index = list(index)
         out = _mapped_zeros((len(index), self.n), np.float64)
         for i, (run, comp) in enumerate(index):
-            out[i] = self._read(run, comp, 1)[0]
+            out[i] = self._read(run, comp, 1, 0, self.n)[0]
         return out
 
-    def _read(self, run, first, count) -> np.ndarray:
-        """Maps first .. first + count - 1 of run ``run``, masked, as a
-        (count, n) array."""
+    def _read(self, run, first, count, lo, hi) -> np.ndarray:
+        """Maps first .. first + count - 1 of run ``run``, masked, at
+        locations lo .. hi - 1, as a (count, hi - lo) array. With a mask,
+        the stored columns from the first to the last wanted location are
+        read and the wanted ones gathered from them."""
         if not (0 <= run < self.K and 0 <= first and first + count <= self.n_C):
             raise ShapeMismatchError(
                 f"no map (run {run}, component {first}) in {self.K} runs of "
                 f"{self.n_C} components (zero-based)"
             )
+        if not 0 <= lo < hi <= self.n:
+            raise ShapeMismatchError(f"no locations {lo} .. {hi - 1} in maps of length {self.n}")
         path = self.paths[run]
-        cols = self.n if self.mask is None else self.mask.shape[0]
-        maps = _read_rows(path, cols, first, count)
-        if self.mask is not None:
-            maps = maps[:, self.mask]
+        if self.mask is None:
+            maps = _read_rows(path, self.n, first, count, lo, hi)
+        else:
+            at = np.flatnonzero(self.mask)[lo:hi]
+            covering = _read_rows(path, self.mask.shape[0], first, count, int(at[0]), int(at[-1]) + 1)
+            # take, not an index: an index would lay the maps out column-major,
+            # and a map's mean would then sum in another order than when read
+            # from a RunCollection
+            maps = np.take(covering, at - at[0], axis=1)
         bad = ~np.isfinite(maps).all(axis=1)
         if bad.any():
             raise NonFiniteError(f"{path}: map {first + int(bad.argmax()) + 1} contains non-finite values")

@@ -75,7 +75,8 @@ def run_raicar_n(runs, cfg: NullConfig) -> ReproducibilityReport:
     permutation null; the report derives p-values and significance. Sorted
     by descending reproducibility. ``runs`` is a RunCollection or the
     ``io.RunFiles`` of a manifest (``io.open_runs``), which compute_crcm
-    reads one run at a time."""
+    reads in two passes, holding one run, or one block of locations of
+    every run, at a time."""
     G = compute_crcm(runs)
     del runs  # only the CRCM is read from here on: let the maps go before the null
     matched = sorted(match_and_score(G), key=lambda mc: -mc.reproducibility)

@@ -17,27 +17,49 @@ from .errors import InvalidPermutationError
 from .types import Crcm, MatchedComponent, _mapped_zeros
 
 
+# Fixed cap on the CRCM's map buffer: about this many cells (32 MB), so
+# the memory that compute_crcm holds does not grow with the map length.
+_CRCM_CELLS = 2**22
+
+
 def compute_crcm(runs) -> Crcm:
     """Signed Pearson correlations between every pair of component maps
     across all runs; zero-variance maps correlate 0 with everything
     (including themselves). ``runs`` is a RunCollection or the
-    ``io.RunFiles`` of a manifest: each run is read once, by ``runs.run``,
-    and centred straight into its rows of one (K*n_C, n) buffer, so no
-    other copy of all the maps is made."""
-    K, n_C = runs.K, runs.n_C
-    Z = _mapped_zeros((K * n_C, runs.n), np.float64)
+    ``io.RunFiles`` of a manifest, read by ``runs.run`` in two passes
+    through one buffer of every map's slice of a block of locations, at
+    most _CRCM_CELLS cells. The first pass reads one whole run at a time,
+    for each map's mean and centred norm, and keeps the first block; the
+    second reads every run's slice of each further block. Each block,
+    centred and scaled, adds its Z @ Z.T to the matrix. Where n fits in one
+    block this is one product over the whole maps."""
+    K, n_C, n = runs.K, runs.n_C, runs.n
+    N = K * n_C
+    width = min(n, max(1, _CRCM_CELLS // N))
+    buf = _mapped_zeros((N * width,), np.float64)
+    means, norms = np.empty((N, 1)), np.empty((N, 1))
+    Z = buf.reshape(N, width)
     for r in range(K):
+        rows = slice(r * n_C, (r + 1) * n_C)
         X = runs.run(r)
-        np.subtract(X, X.mean(axis=1, keepdims=True), out=Z[r * n_C : (r + 1) * n_C])
-    # row norms in blocks of about 64k cells, with no Z-sized Z*Z temporary
-    step = max(1, 2**16 // Z.shape[1])
-    norms = np.concatenate([
-        np.sqrt(np.add.reduce(blk * blk, axis=1)) for blk in np.split(Z, range(step, len(Z), step))
-    ])
+        means[rows] = X.mean(axis=1, keepdims=True)
+        centred = X - means[rows]
+        Z[rows] = centred[:, :width]
+        np.multiply(centred, centred, out=centred)
+        norms[rows, 0] = np.sqrt(np.add.reduce(centred, axis=1))
+        del X, centred  # freed before the next run is read
     # a zero-norm row is already all zeros, so it is left as it is
-    np.divide(Z, norms[:, None], out=Z, where=norms[:, None] > 0)
+    np.divide(Z, norms, out=Z, where=norms > 0)
     C = Z @ Z.T
-    del Z  # unmapped now, not after the Crcm is built and checked
+    for lo in range(width, n, width):
+        hi = min(lo + width, n)
+        Z = buf[: N * (hi - lo)].reshape(N, hi - lo)
+        for r in range(K):
+            rows = slice(r * n_C, (r + 1) * n_C)
+            np.subtract(runs.run(r, lo, hi), means[rows], out=Z[rows])
+        np.divide(Z, norms, out=Z, where=norms > 0)
+        C += Z @ Z.T  # each addend is exactly symmetric, so C stays so
+    del buf, Z  # unmapped now, not after the Crcm is built and checked
     np.clip(C, -1.0, 1.0, out=C)
     return Crcm(K, n_C, C)
 

@@ -70,9 +70,10 @@ class RunCollection:
     def n(self) -> int:
         return self.maps.shape[2]
 
-    def run(self, r) -> np.ndarray:
-        """The (n_C, n) maps of run r, as ``io.RunFiles.run`` reads them."""
-        return self.maps[r]
+    def run(self, r, lo=0, hi=None) -> np.ndarray:
+        """The maps of run r at locations lo .. hi - 1 (all n by default),
+        an (n_C, hi - lo) view, as ``io.RunFiles.run`` reads them."""
+        return self.maps[r, :, lo:hi]
 
 
 def check_run_shape(K, n_C, n) -> None:

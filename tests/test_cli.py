@@ -588,11 +588,11 @@ def test_cli_import_leaves_scipy_stats_unloaded(module):
     assert _python(f"import raicarn.cli, sys; print({module!r} in sys.modules)").strip() == "False"
 
 
-def test_simulate_holds_one_run_at_a_time(tmp_path):
-    # 32 runs of 4 x 62500 maps are 64 MB. Written as they are drawn, they
-    # raised the peak by 14 MB; built as one run set first, by 74 MB. The
-    # peak is VmHWM, not ru_maxrss: exec carries the launching process's RSS
-    # into ru_maxrss, so under a large test process the growth would not show.
+def _peak_growth_kb(*argv):
+    """How far one command raises the peak RSS (VmHWM) of a fresh
+    interpreter above what importing the package took, in kB. The peak is
+    VmHWM, not ru_maxrss: exec carries the launching process's RSS into
+    ru_maxrss, so under a large test process the growth would not show."""
     code = (
         "import re, sys\n"
         "import raicarn.cli\n"
@@ -601,11 +601,27 @@ def test_simulate_holds_one_run_at_a_time(tmp_path):
         "assert raicarn.cli.main(sys.argv[1:]) == 0\n"
         "print(rss() - before)\n"
     )
-    grown_kb = int(_python(code, "simulate", "--K", "32", "--nc", "4", "--planted", "1", "--n", "62500",
-                           "--seed", "3", "--out", str(tmp_path / "sim")).split()[-1])
+    return int(_python(code, *argv).split()[-1])
+
+
+def test_simulate_holds_one_run_at_a_time(tmp_path):
+    # 32 runs of 4 x 62500 maps are 64 MB. Written as they are drawn, they
+    # raised the peak by 14 MB; built as one run set first, by 74 MB.
+    grown_kb = _peak_growth_kb("simulate", "--K", "32", "--nc", "4", "--planted", "1", "--n", "62500",
+                               "--seed", "3", "--out", str(tmp_path / "sim"))
     run_set = 32 * 4 * 62_500 * 8
     assert sum(f.stat().st_size for f in (tmp_path / "sim").glob("run*.rnm")) > run_set
     assert grown_kb < run_set / 1024 / 2
+
+
+def test_raicarn_holds_one_block_of_locations_at_a_time(tmp_path):
+    # 64 runs of 2 x 125000 maps are 128 MB. Built over blocks of at most
+    # 32 MB, the CRCM raised the peak by 39 MB; from one (128, 125000)
+    # buffer of all the maps, by 128 MB.
+    manifest = _simulate(tmp_path / "sim", K=64, nc=2, planted=1, n=125_000)
+    grown_kb = _peak_growth_kb("raicarn", manifest, "--R", "5", "--seed", "1", "--out", str(tmp_path / "rep"))
+    buffer = 64 * 2 * 125_000 * 8
+    assert grown_kb < buffer / 1024 / 2
 
 
 # report edits: (pattern, replacement) applied once to report.txt

@@ -196,7 +196,8 @@ class TestRunFiles:
         with pytest.raises(NonFiniteError, match=rf"{names[1]}: map 3 "):
             runs.rows([(0, 0), (1, 2)])
         assert np.isfinite(runs.run(0)).all()
-        for read in (lambda: runs.run(1), lambda: io.load_runs(manifest)):
+        assert np.isfinite(runs.run(1, 6, 100)).all() and np.isfinite(runs.run(1, 0, 5)).all()
+        for read in (lambda: runs.run(1), lambda: runs.run(1, 5, 6), lambda: io.load_runs(manifest)):
             with pytest.raises(NonFiniteError, match=rf"{names[1]}: map 3 "):
                 read()
 
@@ -217,6 +218,21 @@ class TestRunFiles:
         with pytest.raises(ShapeMismatchError, match="expected 3212 bytes"):
             io.open_runs(manifest)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_column_range_equals_the_run_columns(self, tmp_path, masked):
+        # 66 locations after the mask, none of them stored column 0 or 99,
+        # so each read of the masked maps covers less than a stored row
+        manifest, _ = self._manifest(tmp_path, masked)
+        runs = io.open_runs(manifest)
+        whole = runs.run(2)
+        for lo, hi in [(0, runs.n), (0, 1), (7, 30), (runs.n - 1, runs.n)]:
+            part = runs.run(2, lo, hi)
+            assert part.flags.c_contiguous
+            assert part.tobytes() == whole[:, lo:hi].tobytes()
+        for lo, hi in [(-1, 3), (3, 3), (5, runs.n + 1)]:
+            with pytest.raises(ShapeMismatchError, match=rf"no locations {lo} \.\. {hi - 1} in maps of length {runs.n}"):
+                runs.run(0, lo, hi)
+
     @pytest.mark.parametrize("removed", [True, False])
     def test_file_changed_after_its_header_was_checked(self, tmp_path, removed):
         manifest, names = self._manifest(tmp_path, masked=False)
@@ -228,7 +244,7 @@ class TestRunFiles:
         else:
             path.write_bytes(path.read_bytes()[:-8])
             error, says = ShapeMismatchError, f"{names[1]}: file shrank"
-        for read in (lambda: runs.run(1), lambda: runs.rows([(0, 0), (1, 3)])):
+        for read in (lambda: runs.run(1), lambda: runs.run(1, 90, 100), lambda: runs.rows([(0, 0), (1, 3)])):
             with pytest.raises(error, match=says):
                 read()
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raicarn import io, raicar
 from raicarn.raicar import (
     align_signs,
     compute_crcm,
@@ -55,6 +56,39 @@ class TestComputeCrcm:
         maps[0, 0] = 5.0  # constant map
         G = compute_crcm(RunCollection(maps))
         assert not G.signed[0, 2:].any()
+
+    def test_blocks_of_locations_give_the_whole_map_correlations(self, tmp_path, monkeypatch):
+        # 3 runs of 4 maps, 66 of 100 locations kept by the mask: with a cap
+        # of 240 cells the buffer holds 20 locations of all 12 maps, so the
+        # CRCM is built over 4 blocks, the last of 6 locations
+        rng = np.random.default_rng(21)
+        maps = rng.standard_normal((3, 4, 100))
+        maps[1, 2] = 5.0  # zero variance: flat index 6
+        names = [f"run{r}.rnm" for r in range(3)]
+        for name, run in zip(names, maps):
+            io.write_matrix(run, tmp_path / name)
+        mask = np.ones(100, dtype=bool)
+        mask[::3] = False
+        io.write_matrix(mask[None, :].astype(float), tmp_path / "mask.rnm")
+        io.write_manifest(names, tmp_path / "manifest.txt", mask_path="mask.rnm")
+        monkeypatch.setattr(raicar, "_CRCM_CELLS", 240)
+        reads = []
+        read = io.RunFiles.run
+
+        def spy(self, r, lo=0, hi=None):
+            reads.append((lo, hi))
+            return read(self, r, lo, hi)
+
+        monkeypatch.setattr(io.RunFiles, "run", spy)
+        G = compute_crcm(io.open_runs(tmp_path / "manifest.txt"))
+        assert reads == [(0, None)] * 3 + [(20, 40)] * 3 + [(40, 60)] * 3 + [(60, 66)] * 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.nan_to_num(np.corrcoef(maps[..., mask].reshape(12, -1)))
+        np.testing.assert_allclose(G.signed, expected, rtol=0, atol=1e-14)
+        loaded = compute_crcm(io.load_runs(tmp_path / "manifest.txt"))
+        assert G.signed.tobytes() == loaded.signed.tobytes()
+        assert np.array_equal(G.signed, G.signed.T)
+        assert not G.signed[6].any() and not G.signed[:, 6].any()
 
 
 def _exhaustive_best(rc):
