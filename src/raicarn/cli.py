@@ -205,7 +205,7 @@ def cmd_plan_groups(args) -> int:
 
 
 def cmd_mixture(args) -> int:
-    # scipy.special comes in with mixture, so only this command pays for it
+    # imported on use: the other commands start without its half megabyte
     from . import mixture
 
     cfg = MixtureConfig(**_settings(args, "mixture"))
@@ -220,16 +220,21 @@ def cmd_mixture(args) -> int:
                 f"{runs.n_C} components in {args.manifest}"
             )
     # Read the member maps of the significant components, and only those,
-    # before anything is written.
-    fitted = [(rank, mc) for rank, (mc, sig) in
-              enumerate(zip(report.matched, report.significant), start=1) if sig]
-    stacks = [runs.rows((run, comp) for run, comp, _ in mc.members) for _, mc in fitted]
-    out = _outdir(args)
-    n_degenerate = 0
-    for (rank, mc), maps in zip(fitted, stacks):
+    # before anything is written; one component's maps are held at a time,
+    # and only its t-map and degenerate mask are kept.
+    fitted = []
+    for rank, (mc, sig) in enumerate(zip(report.matched, report.significant), start=1):
+        if not sig:
+            continue
+        maps = runs.rows((run, comp) for run, comp, _ in mc.members)
         maps *= np.array([sign for _, _, sign in mc.members], dtype=np.float64)[:, None]
         normalized = mixture.normalize_maps(maps)
-        t_map, degenerate = mixture.group_tstat(normalized)
+        del maps
+        fitted.append((rank, *mixture.group_tstat(normalized)))
+        del normalized
+    out = _outdir(args)
+    n_degenerate = 0
+    for rank, t_map, degenerate in fitted:
         prefix = os.path.join(out, f"comp{rank:02d}")
         lines = [
             "# tail-mixture fit parameters",

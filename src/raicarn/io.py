@@ -166,7 +166,7 @@ class RunFiles:
 
     def run(self, r, lo=0, hi=None) -> np.ndarray:
         """The masked maps of zero-based run r at locations lo .. hi - 1
-        (all n by default), as an (n_C, hi - lo) array."""
+        (all n by default), as a writable (n_C, hi - lo) array of its own."""
         return self._read(r, 0, self.n_C, lo, self.n if hi is None else hi)
 
     def rows(self, index) -> np.ndarray:

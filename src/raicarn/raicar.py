@@ -29,10 +29,12 @@ def compute_crcm(runs) -> Crcm:
     ``io.RunFiles`` of a manifest, read by ``runs.run`` in two passes
     through one buffer of every map's slice of a block of locations, at
     most _CRCM_CELLS cells. The first pass reads one whole run at a time,
-    for each map's mean and centred norm, and keeps the first block; the
-    second reads every run's slice of each further block. Each block,
-    centred and scaled, adds its Z @ Z.T to the matrix. Where n fits in one
-    block this is one product over the whole maps."""
+    for each map's mean and centred norm, centring it in the array that
+    ``runs.run`` returns (in a copy, if that is a RunCollection's read-only
+    view), and keeps the first block; the second reads every run's slice
+    of each further block. Each block, centred and scaled, adds its Z @ Z.T
+    to the matrix. Where n fits in one block this is one product over the
+    whole maps."""
     K, n_C, n = runs.K, runs.n_C, runs.n
     N = K * n_C
     width = min(n, max(1, _CRCM_CELLS // N))
@@ -41,13 +43,15 @@ def compute_crcm(runs) -> Crcm:
     Z = buf.reshape(N, width)
     for r in range(K):
         rows = slice(r * n_C, (r + 1) * n_C)
-        X = runs.run(r)
+        X = runs.run(r)  # centred and squared in place
+        if not X.flags.writeable:
+            X = X.copy()
         means[rows] = X.mean(axis=1, keepdims=True)
-        centred = X - means[rows]
-        Z[rows] = centred[:, :width]
-        np.multiply(centred, centred, out=centred)
-        norms[rows, 0] = np.sqrt(np.add.reduce(centred, axis=1))
-        del X, centred  # freed before the next run is read
+        X -= means[rows]
+        Z[rows] = X[:, :width]
+        np.multiply(X, X, out=X)
+        norms[rows, 0] = np.sqrt(np.add.reduce(X, axis=1))
+        del X  # freed before the next run is read
     # a zero-norm row is already all zeros, so it is left as it is
     np.divide(Z, norms, out=Z, where=norms > 0)
     C = Z @ Z.T

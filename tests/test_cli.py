@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import re
@@ -582,10 +583,42 @@ def _python(code, *args):
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.linalg", "scipy", "scipy.special"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
     # scipy.stats alone adds about half a second to every command's start;
-    # scipy.optimize and the scipy.linalg it loads add 24 MB. Only `mixture`
-    # needs scipy.special, which with scipy adds 24 MB and 0.3-0.6 s, so
-    # every other command (one process per ICA restart) starts without it.
+    # scipy.optimize and the scipy.linalg it loads add 24 MB, and
+    # scipy.special with scipy 24 MB and 0.25 s. No command needs any of
+    # them, so none (one process per ICA restart) pays for them.
     assert _python(f"import raicarn.cli, sys; print({module!r} in sys.modules)").strip() == "False"
+
+
+def test_pipeline_runs_without_loading_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from raicarn.cli import main\n"
+        "sim, rep, mix = sys.argv[1:]\n"
+        "assert main(['simulate', '--K', '6', '--nc', '3', '--planted', '2', '--n', '600',\n"
+        "             '--seed', '7', '--out', sim]) == 0\n"
+        "assert main(['raicarn', sim + '/manifest.txt', '--R', '40', '--seed', '0', '--out', rep]) == 0\n"
+        "assert main(['mixture', '--report', rep + '/report.txt', '--manifest', sim + '/manifest.txt',\n"
+        "             '--out', mix]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    dirs = [str(tmp_path / d) for d in ("sim", "rep", "mix")]
+    assert _python(code, *dirs).splitlines()[-1] == "[]"
+    assert any(name.endswith("_fit.txt") for name in os.listdir(dirs[2]))
+
+
+def test_no_module_of_the_package_imports_scipy():
+    package = Path(__file__).resolve().parents[1] / "src" / "raicarn"
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (source.name, node.lineno)
 
 
 def _peak_growth_kb(*argv):
@@ -622,6 +655,34 @@ def test_raicarn_holds_one_block_of_locations_at_a_time(tmp_path):
     grown_kb = _peak_growth_kb("raicarn", manifest, "--R", "5", "--seed", "1", "--out", str(tmp_path / "rep"))
     buffer = 64 * 2 * 125_000 * 8
     assert grown_kb < buffer / 1024 / 2
+
+
+def test_raicarn_centres_each_run_in_place(tmp_path):
+    # 2 runs of 64 x 125000 maps: one run is 64 MB, twice the 32 MB block
+    # buffer. Centred in the array it was read into, the CRCM raised the
+    # peak by 103 MB (the run, the buffer and the rest); with a centred
+    # copy beside the run, by 166 MB.
+    manifest = _simulate(tmp_path / "sim", K=2, nc=64, planted=1, n=125_000)
+    grown_kb = _peak_growth_kb("raicarn", manifest, "--R", "5", "--seed", "1", "--out", str(tmp_path / "rep"))
+    run = 64 * 125_000 * 8
+    assert grown_kb < 2 * run / 1024
+
+
+def test_mixture_holds_one_component_at_a_time(tmp_path):
+    # 16 significant components of 32 maps of 15625 locations: each stack
+    # is 4 MB, 64 MB in all. Read one at a time, keeping only the t-maps,
+    # they raised the peak by 16 MB; read all before any fit, by 116 MB.
+    manifest = _simulate(tmp_path / "sim", K=32, nc=18, planted=16, n=15_625)
+    assert main(["raicarn", manifest, "--R", "20", "--seed", "1", "--out", str(tmp_path / "rep")]) == 0
+    report = io.read_report(tmp_path / "rep" / "report.txt")
+    n_sig = int(report.significant.sum())
+    assert n_sig >= 4
+    stacks = n_sig * 32 * 15_625 * 8
+    assert stacks >= 64e6
+    grown_kb = _peak_growth_kb("mixture", "--report", str(tmp_path / "rep" / "report.txt"),
+                               "--manifest", manifest, "--out", str(tmp_path / "mix"))
+    assert len(list((tmp_path / "mix").glob("*_fit.txt"))) == n_sig
+    assert grown_kb < stacks / 1024 / 2
 
 
 # report edits: (pattern, replacement) applied once to report.txt
@@ -757,14 +818,14 @@ class TestPinnedOutputs:
         "sim/truth.txt": "46098cc040d6384e54af4ec645d535aa01e8cffd4e454c33a938c8c7ef8b20f2",
         "rep/report.txt": "80784ebac2ad7c9e41ca299eba04f1c816f022a36beb287d1bd91e2df891b75a",
         "rep/report.txt.null.rnm": "ec4a7971e05d0708288b9f7d95de87699d2fc45f9bf0c1910e8e18f0814cb362",
-        "mix/comp01_fit.txt": "acf6868e3c232373126d262955a90a5df7f8c5223ee2ecbb4263ce2443f1e2b3",
-        "mix/comp01_hist.rnm": "79a7c604836fac01c9cd78148ed944c0928345f09be538362be2a1ef8fd88880",
+        "mix/comp01_fit.txt": "8c163e572299ade44bd36c3c8ba11185d213afaff363469b9c69d62499ec66bd",
+        "mix/comp01_hist.rnm": "9ac38a03fea3b64bc020c8a891e0460c308f1bb01a458c585425665cdc4e72c0",
         "mix/comp01_labels.rnm": "c61b261b3b2596ebd998df5c22781c43bec5fa0895776f43f4095ff14feb7372",
-        "mix/comp01_tstat.rnm": "0859b2614da3de9f74236ae818cfb061b46173ee75dc22e1dc87403dfcaa0896",
-        "mix/comp02_fit.txt": "fe5322312cf139bd01f43abc10b79ff9b11ca1b47538c6c59936f3ae233ba747",
-        "mix/comp02_hist.rnm": "6162a9ad70aa8e755efb467ffaf51ad49217b2298ff40dc927a602173ea0b909",
+        "mix/comp01_tstat.rnm": "edd3e2bd40ee438a31ed531ea50ee90f75ba385c17ef3c4fd942e40c39d84356",
+        "mix/comp02_fit.txt": "aa46d014c93c173cfb06f2734a4c3870333fb8c4cd087a66270057cf23332a56",
+        "mix/comp02_hist.rnm": "b87ceb9911b9b6ee02a50b7586b029ee384f3eabbfa50db03b4864d070f8718c",
         "mix/comp02_labels.rnm": "1a114a505491788b2ff5eb84815f506664ba70cc7aef233bcd98812a31114ce9",
-        "mix/comp02_tstat.rnm": "779119ec62817a1532dae94e5f06d8fd2ded3e5edcc3d764185b2e7ff6b484e4",
+        "mix/comp02_tstat.rnm": "b27d9d62ebaacf2fb2d4c4c1f8881470107836fc744e551c3cc0cbba92f6fb07",
     }
 
     @pytest.fixture(scope="class")

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ from raicarn.mixture import (
     LABEL_NEGATIVE,
     LABEL_NULL,
     LABEL_POSITIVE,
+    _DOF_GRID,
     _SHAPE_CAP,
     MixtureConfig,
     MixtureFit,
+    _digamma,
+    _ndtri,
+    _trigamma,
     _weighted_gamma_mle,
     classify_voxels,
     fit_mixture,
@@ -90,7 +95,7 @@ class TestNormalizeEmpirical:
             v = rng.standard_normal((K, m))
         if flat:
             v = v[0]
-        expected = special.ndtri((stats.rankdata(v, method="average", axis=-1) - 0.5) / m)
+        expected = _ndtri((stats.rankdata(v, method="average", axis=-1) - 0.5) / m)
         out = normalize_maps(v)
         assert out.shape == v.shape and out.dtype == np.float64
         assert out.tobytes() == expected.tobytes()
@@ -116,6 +121,62 @@ class TestNormalizeEmpirical:
         assert (out[131] == 0.0).all()
         for k in range(len(v)):
             assert out[k].tobytes() == normalize_maps(v[k]).tobytes()
+
+
+class TestSpecialFunctions:
+    """The numpy / math stand-ins for scipy.special against scipy.special."""
+
+    # AS241 and scipy's cephes ndtri each err by a few ulps, so their
+    # difference is bounded by the sum. 1e-15, set first, failed at 1 of
+    # the 39999 points for m = 20000 (1.02e-15 at x = 1.086, where a
+    # 40-digit reference puts cephes 4 ulps off and AS241 1 ulp off).
+    NDTRI_RTOL = 2e-15
+    # log-gamma and digamma cross zero (at 1 and 2, and near 1.4616), where
+    # only an absolute error means anything; the fit adds them to log
+    # densities of order 1.
+    LOG_TOL = 1e-14
+    # trigamma is a sum of positive terms, so a relative bound holds.
+    TRIGAMMA_RTOL = 1e-14
+
+    @pytest.mark.parametrize("m", [2, 3, 600, 2000, 20_000])
+    def test_ndtri_on_the_normalize_maps_table(self, m):
+        p = (np.arange(2 * m - 1) / 2 + 0.5) / m
+        np.testing.assert_allclose(_ndtri(p), special.ndtri(p), rtol=self.NDTRI_RTOL, atol=0)
+
+    def test_ndtri_in_the_tails(self):
+        low = 10.0 ** -np.arange(1, 301)
+        high = 1.0 - 10.0 ** -np.arange(1, 16)
+        p = np.concatenate([low, high, [0.5, 0.075, 0.925, 0.0746, 0.9254]])
+        x = _ndtri(p)
+        np.testing.assert_allclose(x, special.ndtri(p), rtol=self.NDTRI_RTOL, atol=0)
+        assert x[299] == pytest.approx(-37.0471, abs=1e-4)  # p = 1e-300
+
+    @staticmethod
+    def _points():
+        dof = np.array([d for d in _DOF_GRID if np.isfinite(d)])
+        return np.concatenate([np.geomspace(1e-3, 1e4, 2001), (dof + 1) / 2, dof / 2, [1.0, 2.0, 10.0]])
+
+    def test_lgamma_and_digamma_match(self):
+        a = self._points()
+        for ours, ref in ((math.lgamma, special.gammaln), (_digamma, special.digamma)):
+            got = np.array([ours(float(v)) for v in a])
+            want = ref(a)
+            assert (np.abs(got - want) <= self.LOG_TOL * np.maximum(1.0, np.abs(want))).all(), ours
+
+    def test_trigamma_matches(self):
+        a = self._points()
+        got = np.array([_trigamma(float(v)) for v in a])
+        np.testing.assert_allclose(got, special.polygamma(1, a), rtol=self.TRIGAMMA_RTOL, atol=0)
+
+    def test_digamma_and_trigamma_hold_far_out(self):
+        # every a > 0: the recurrence takes at most ten steps, and the series
+        # alone serves large a
+        a = np.geomspace(1e-150, 1e300, 451)
+        psi = np.array([_digamma(float(v)) for v in a])
+        psi1 = np.array([_trigamma(float(v)) for v in a])
+        assert np.isfinite(psi).all() and np.isfinite(psi1).all()
+        assert (np.abs(psi - special.digamma(a)) <= self.LOG_TOL * np.maximum(1.0, np.abs(psi))).all()
+        np.testing.assert_allclose(psi1, special.polygamma(1, a), rtol=self.TRIGAMMA_RTOL, atol=0)
 
 
 class TestGroupTstat:
@@ -383,7 +444,7 @@ class TestPinnedOutputs:
 
     def test_normalize_maps_digest_is_pinned(self, planted):
         assert _digest(planted[0]) == (
-            "eec89f40dc28e7bbd2b72b2e6c218d0d11508ca521be0e2d51cbe3b5f537934f"
+            "28e408cc1045273e8b8f82d68c45b53fa1aae91bdbec2c20bde01f1fed6365ae"
         )
 
     def test_fit_digest_is_pinned(self, planted):
@@ -391,7 +452,7 @@ class TestPinnedOutputs:
         params = np.array([*fit.weights, *fit.t_params, *fit.gamma_pos, *fit.gamma_neg])
         assert (len(fit.loglik_trace), fit.converged) == (71, True)
         assert _digest(params, fit.loglik_trace) == (
-            "ccc3c133afedd38c261ca0a3eacb2c32b3036cd5b6c0f22f064095e279c669db"
+            "dd9aff2cbc26e613142360967ba9600cd86d55fba8b19a09c42893233aca1a0f"
         )
 
     @pytest.mark.parametrize("m", range(1, 10))
@@ -415,10 +476,10 @@ class TestPinnedOutputs:
             "3eb36906f3b84ba86f4e5440656287cc4abc3c6a2e000a3e26300d2aad40d48c"
         )
         assert _digest(responsibilities(fit, t)) == (
-            "b996538ae5cc25c97b8f5088eec51ea86dc211b96a6035e010c6709fb133c664"
+            "df173266c85e188fb51d3ae98a5580ef5d0544ac4c5b2de5cd08bf2e170cb0de"
         )
         assert _digest(histogram_data(fit, t)) == (
-            "834ffaf422e26eb5032ae3e585dde0a0d74c39a58e927c92d3000e92e5f7194d"
+            "a5271591023ac1e9034655810298f610745c1aae89d8faa4e9c4f7dab06dcdce"
         )
 
     def test_squarem_branch_fit_is_pinned(self):
@@ -430,5 +491,5 @@ class TestPinnedOutputs:
         params = np.array([*fit.weights, *fit.t_params, *fit.gamma_pos, *fit.gamma_neg])
         assert (len(fit.loglik_trace), fit.converged) == (37, True)
         assert _digest(params, fit.loglik_trace) == (
-            "ec1d15a3bbc5977548874dd21df78dd4fe4e915c964e78e000379ddd77058857"
+            "84de1f7b0cd251794f0cfbffc0bb0fd126cb38ad553940ad21a10d58f1296d27"
         )
