@@ -11,6 +11,7 @@ a product's sums and with it the last bits of the CRCM.
 
 Usage: python3 scripts/output_digests.py --shape paper --seed 1
        python3 scripts/output_digests.py --shape fmri --seed 2248
+       python3 scripts/output_digests.py --shape null-wide --seed 1
        python3 scripts/output_digests.py --K 4 --nc 3 --planted 1 --n 300 --R 5
 """
 
@@ -29,10 +30,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from raicarn.cli import main as cli  # noqa: E402
 
-# (K, nc, planted, n, R), the shapes of the benchmark's paper and fmri workloads
+# (K, nc, planted, n, R), the shapes of the benchmark's paper, fmri and
+# null-wide workloads; the benchmark skips mixture on null-wide, this runs it
 SHAPES = {
     "paper": (20, 8, 3, 2000, 1000),
     "fmri": (50, 20, 3, 20000, 100),
+    "null-wide": (50, 40, 4, 2000, 50),
 }
 
 

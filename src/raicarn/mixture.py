@@ -130,6 +130,10 @@ def _trigamma(a: float) -> float:
     return series + 0.5 * h + shift
 
 
+# Fixed cap on one block of normalize_maps: about this many cells.
+_NORMALIZE_CELLS = 2**16
+
+
 def normalize_maps(maps) -> np.ndarray:
     """Row-wise empirical normalization of a K x n stack: each map's m
     values are mapped to standard normal quantiles at (rank - 0.5) / m over
@@ -143,8 +147,8 @@ def normalize_maps(maps) -> np.ndarray:
     Each row is sorted once. A tie run at sorted positions first..last has
     the average rank (first + last) / 2 + 1, a half-integer and so exact,
     and its quantile is looked up by first + last in a table of 2m - 1.
-    Rows go through in blocks of about 2^18 cells, so each temporary stays
-    near 2 MB whatever the stack's height.
+    Rows go through in blocks of about _NORMALIZE_CELLS cells, so each
+    temporary stays near 512 kB whatever the stack's height.
     """
     v = np.asarray(maps, dtype=np.float64)
     m = v.shape[-1]
@@ -153,7 +157,7 @@ def normalize_maps(maps) -> np.ndarray:
     rows = v.reshape(-1, m)
     table = _ndtri((np.arange(2 * m - 1) / 2 + 0.5) / m)
     out = np.empty_like(rows)
-    step = max(1, 2**18 // m)
+    step = max(1, _NORMALIZE_CELLS // m)
     for s in range(0, len(rows), step):
         block = rows[s : s + step]
         if np.isnan(block).any():

@@ -3,13 +3,14 @@
 Null replicates re-partition the K*n_C component labels into K pseudo-runs
 by a random permutation, re-run the greedy matching on the stored signed
 correlation matrix under that relabelling, score the sets with the same
-functions as the observed sets, and pool the resulting reproducibility
+helper as the observed sets, and pool the resulting reproducibility
 values. The relabelled matrix is never built: the matcher reads each row's
 partners from one descending sort of that row, shared by the observed call
 and every replicate, and advances per-row pointers in batches of
-replicates. Each replicate draws its RNG from (seed, replicate_index), so
-a replicate's values do not depend on R, on the batching, or on which
-replicates ran before.
+replicates, through windows that grow from 2 entries, keeping each row's
+maximum and free flag in pseudo order. Each replicate draws its RNG from
+(seed, replicate_index), so a replicate's values do not depend on R, on
+the batching, or on which replicates ran before.
 """
 
 import numpy as np
@@ -21,11 +22,10 @@ from .raicar import (
     _STATE_CELLS,
     _check_permutation,
     _greedy,
+    _set_scores,
     compute_crcm,
     match_and_score,
     match_components,  # noqa: F401
-    normalized_reproducibility,
-    similarity_matrix,
 )
 # p_values is not called here; it stays bound because the benchmark's
 # tracer wraps null.p_values, and callers import it from this module.
@@ -41,32 +41,26 @@ def permute_crcm(G: Crcm, g) -> Crcm:
     return Crcm(G.K, G.n_C, G.signed[np.ix_(g, g)])
 
 
-# Fixed cap on one scoring call: about this many similarity cells.
-_SCORE_CELLS = 2**16
-
-
 def null_distribution(rc: RunCollection, G: Crcm, cfg: NullConfig) -> np.ndarray:
     """Pooled vector of R * n_C reproducibility values under the
     no-reproducibility null; deterministic given cfg.seed and cfg.R.
 
     Replicate r is the observed matching on the relabelling
-    ``default_rng([seed, r]).permutation(N)`` of G, scored by the observed
-    scoring calls; replicates are matched in batches. ``rc`` is not read
-    (pass None); it stays in first position because the benchmark's
-    tracer reads ``(G, cfg)`` by position."""
-    K, N = G.K, G.K * G.n_C
+    ``default_rng([seed, r]).permutation(N)`` of G, scored by the same
+    helper as the observed sets. Replicates are matched in batches of
+    about _STATE_CELLS / N, through the matcher's growing pointer windows
+    and pseudo-order state, and each batch's sets are scored together.
+    ``rc`` is not read (pass None); it stays in first position because
+    the benchmark's tracer reads ``(G, cfg)`` by position."""
+    N = G.K * G.n_C
     batch = max(1, _STATE_CELLS // N)
-    per_call = max(1, _SCORE_CELLS // (K * K))
     pool = []
     for r0 in range(0, cfg.R, batch):
         perms = np.array([
             np.random.default_rng([cfg.seed, r]).permutation(N)
             for r in range(r0, min(r0 + batch, cfg.R))
         ])
-        sets = _greedy(G, perms)[0].reshape(-1, K)
-        for s0 in range(0, len(sets), per_call):
-            pairs = np.stack(np.divmod(sets[s0 : s0 + per_call], G.n_C), axis=-1)
-            pool.append(normalized_reproducibility(similarity_matrix(G, pairs)))
+        pool.append(_set_scores(G, _greedy(G, perms)[0].reshape(-1, G.K)))
     return np.concatenate(pool)
 
 

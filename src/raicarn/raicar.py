@@ -6,9 +6,13 @@ aligned sets on its absolute values, and scores each set by the mean of
 its pairwise absolute correlations read from that same matrix. The
 matcher never builds a working matrix: it sorts each row of |G| once per
 matrix and keeps one pointer per row at that row's best partner still
-free and in another run, advancing only the pointers a step made stale.
+free and in another run, advancing only the pointers a step made stale,
+through windows that start at 2 entries and grow for the few long walks.
+Each row's current maximum and a free mask are kept in the order of the
+(pseudo-)labels, written in place as pointers move and rows are used.
 Observed sets and permutation-null sets (relabellings of that matrix,
-matched in batches) go through the same matching and scoring functions.
+matched in batches) go through the same matcher and the same scoring
+helper, which reads only each set's strict upper triangle of |G|.
 """
 
 import numpy as np
@@ -90,8 +94,11 @@ def _greedy(G: Crcm, perms: np.ndarray):
     the rows and columns of used components zeroed; it is never built.
     Instead each (replicate, row) keeps a pointer into ``G.row_order`` at
     the row's best partner that is unused and in another pseudo-run, so
-    the pointer's value is the row's maximum. A step reads only those
-    values, two O(N) rows, and the pointers its members made stale.
+    the pointer's value is the row's maximum. That maximum (-1 once the
+    row is used) and a 1.0 / 0.0 free mask are kept in pseudo order, and
+    a move of a pointer or a use of a row writes them in place. A step
+    reads those two B x N arrays, two O(N) rows, and the pointers its
+    members made stale.
 
     Returns ``(members, anchor_run)``: members (B, n_C, K) are G's flat
     labels of each slot's members in pseudo-run order, anchor_run (B, n_C)
@@ -104,26 +111,31 @@ def _greedy(G: Crcm, perms: np.ndarray):
     signed = G.signed.reshape(-1)
     reps = np.arange(B)
     runs = np.arange(K)
-    pseudo_run = np.arange(N) // n_C
     # state cell b * N + u belongs to replicate b and G's row u
     offset = (reps * N)[:, None]
     cell = perms + offset  # state cell of each pseudo label
     base_of = np.repeat(reps * N, N)  # first state cell of its replicate
     row_start = np.tile(np.arange(0, N * N, N), B)  # its row's start in the flat arrays
     block = np.empty(B * N, dtype=np.int64)  # its pseudo-run
-    block[cell] = pseudo_run
+    block[cell] = np.arange(N) // n_C
+    at = np.empty(B * N, dtype=np.int64)  # its flat position in pseudo order
+    at[cell] = np.arange(B * N).reshape(B, N)
     used = np.zeros(B * N, dtype=bool)
     ptr = row_start - 1  # position of its pointer in the flat row_order
     tgt = np.empty(B * N, dtype=np.int64)  # G column under the pointer
-    val = np.empty(B * N)  # that column's absolute value; -1 once the row is used
+    # in pseudo order: each row's maximum (-1 once used), and 1.0 while free
+    top = np.empty((B, N))
+    free = np.ones((B, K, n_C))
 
     def advance(cells):
         """Move each cell's pointer to its row's next partner that is
-        unused and in another pseudo-run. Each pass reads about
-        _STATE_CELLS entries, so the few long scans take few passes."""
-        todo = cells
+        unused and in another pseudo-run. Nearly every such partner lies
+        within an entry or two, so each pass scans a window that starts
+        at 2 entries and grows 4x for the rows still unresolved, capped at
+        N per row and about _STATE_CELLS per pass."""
+        todo, grow = cells, 2
         while todo.size:
-            width = min(N, max(1, _STATE_CELLS // todo.size))
+            width = min(grow, N, max(1, _STATE_CELLS // todo.size))
             # a free row always has such a partner before its row's end
             pos = np.minimum(ptr[todo, None] + np.arange(1, width + 1), row_start[todo, None] + N - 1)
             t = base_of[todo, None] + order[pos]
@@ -131,50 +143,51 @@ def _greedy(G: Crcm, perms: np.ndarray):
             hit = ok.argmax(axis=1)
             found = ok[np.arange(todo.size), hit]
             ptr[todo] = np.where(found, pos[np.arange(todo.size), hit], pos[:, -1])
-            todo = todo[~found]
+            todo, grow = todo[~found], grow * 4
         tgt[cells] = order[ptr[cells]]
-        val[cells] = np.abs(signed[row_start[cells] + tgt[cells]])
+        top.reshape(-1)[at[cells]] = np.abs(signed[row_start[cells] + tgt[cells]])
 
-    def working_row(f, free):
+    def working_row(f):
         """Row f of each replicate's working matrix, in pseudo order."""
-        w = np.abs(signed[(perms[reps, f] * N)[:, None] + perms])
-        w[~free | (pseudo_run == (f // n_C)[:, None])] = 0.0
+        w = np.abs(signed[(perms[reps, f] * N)[:, None] + perms]).reshape(B, K, n_C)
+        w *= free
+        w[reps, f // n_C] = 0.0
         return w
 
     advance(np.arange(B * N))
     members = np.empty((B, n_C, K), dtype=np.int64)
     anchor_run = np.empty((B, n_C), dtype=np.int64)
     for s in range(n_C):
-        v = val[cell]
-        free = v >= 0.0
         # the first row, in pseudo order, holding the replicate's maximum,
         # and that row's first maximum: the working matrix is symmetric, so
         # this is its first maximum in row-major order and fi < fj
-        fi = v.argmax(axis=1)
+        fi = top.argmax(axis=1)
         # fully degenerate replicate: seed from the lowest-index unused
         # components of pseudo-runs 0 and 1
-        degenerate = v[reps, fi] <= 0.0
-        fi[degenerate] = free[degenerate, :n_C].argmax(axis=1)
-        row = working_row(fi, free)
-        fj = row.argmax(axis=1)
-        fj[degenerate] = n_C + free[degenerate, n_C : 2 * n_C].argmax(axis=1)
-        col = working_row(fj, free)  # row fj equals column fj by symmetry
+        degenerate = top[reps, fi] <= 0.0
+        if degenerate.any():
+            fi[degenerate] = free[degenerate, 0].argmax(axis=1)
+        row = working_row(fi)
+        fj = row.reshape(B, N).argmax(axis=1)
+        if degenerate.any():
+            fj[degenerate] = n_C + free[degenerate, 1].argmax(axis=1)
+        col = working_row(fj)  # row fj equals column fj by symmetry
         # per run: the member best correlated with either anchor member,
         # the column side winning ties; the lowest free one if both are 0
-        row, col = row.reshape(B, K, n_C), col.reshape(B, K, n_C)
         a, b = col.argmax(axis=2), row.argmax(axis=2)
-        a_val = np.take_along_axis(col, a[..., None], 2)[..., 0]
-        b_val = np.take_along_axis(row, b[..., None], 2)[..., 0]
+        a_val, b_val = col.max(axis=2), row.max(axis=2)
         pick = np.where(a_val >= b_val, a, b)
         both_zero = (a_val == 0.0) & (b_val == 0.0)
-        pick[both_zero] = free.reshape(B, K, n_C).argmax(axis=2)[both_zero]
+        if both_zero.any():
+            pick[both_zero] = free.argmax(axis=2)[both_zero]
         (l, i), (m, j) = divmod(fi, n_C), divmod(fj, n_C)
         pick[reps, l], pick[reps, m] = i, j
-        taken = np.take_along_axis(perms, runs * n_C + pick, 1)
+        slots = runs * n_C + pick  # pseudo labels of the members
+        taken = np.take_along_axis(perms, slots, 1)
         members[:, s], anchor_run[:, s] = taken, l
-        taken_cells = (taken + offset).reshape(-1)
-        used[taken_cells] = True
-        val[taken_cells] = -1.0
+        used[(taken + offset).reshape(-1)] = True
+        top[reps[:, None], slots] = -1.0
+        free[reps[:, None], runs, pick] = 0.0
         if s + 1 < n_C:
             advance(np.flatnonzero(used[base_of + tgt] & ~used))
     return members, anchor_run
@@ -230,6 +243,36 @@ def normalized_reproducibility(H: np.ndarray) -> np.ndarray:
     return 2.0 * upper.sum(axis=-1) / ((K - 1) * K)
 
 
+# Fixed cap on one scoring gather: about this many similarity cells.
+_SCORE_CELLS = 2**16
+
+
+def _set_scores(G: Crcm, sets) -> np.ndarray:
+    """Normalized reproducibility of each set of G's flat labels, (S, K),
+    observed and null alike: the mean of the |G| entries between its
+    members, gathered for the strict upper triangle only, in chunks of
+    about _SCORE_CELLS cells. Bit for bit
+    ``normalized_reproducibility(similarity_matrix(G, pairs))``: each set's
+    sum is the same contiguous 1-D reduction over the same entries."""
+    sets = np.asarray(sets)
+    K, N = sets.shape[-1], G.K * G.n_C
+    iu, ju = np.triu_indices(K, k=1)
+    signed = G.signed.reshape(-1)
+    per_call = max(1, _SCORE_CELLS // iu.size)
+    out = np.empty(len(sets))
+    for s0 in range(0, len(sets), per_call):
+        chunk = sets[s0 : s0 + per_call]
+        idx = chunk[:, iu]
+        idx *= N
+        idx += chunk[:, ju]
+        # the gather lays the set axis innermost in memory; made contiguous,
+        # each set's sum is its own contiguous 1-D reduction
+        upper = np.ascontiguousarray(signed[idx])
+        np.abs(upper, out=upper)
+        out[s0 : s0 + per_call] = 2.0 * upper.sum(axis=-1) / ((K - 1) * K)
+    return out
+
+
 def align_signs(G: Crcm, members, anchor):
     """Attach alignment signs: each member gets the sign of its correlation
     with the anchor, 0 mapping to +1. The anchor's correlation with itself
@@ -243,7 +286,7 @@ def match_and_score(G: Crcm):
     component slot from the CRCM. Returns MatchedComponents in matching
     order."""
     matched = match_components(G)
-    reps = normalized_reproducibility(similarity_matrix(G, [m for m, _ in matched]))
+    reps = _set_scores(G, [[r * G.n_C + c for r, c in m] for m, _ in matched])
     return [
         MatchedComponent(tuple(align_signs(G, members, anchor)), anchor, rep)
         for (members, anchor), rep in zip(matched, reps)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raicarn import null
+from raicarn import null, raicar
 from raicarn.errors import InvalidPermutationError
 from raicarn.null import (
     NullConfig,
@@ -209,6 +209,36 @@ class TestBatchedNull:
         short = null_distribution(None, G, NullConfig(R=100, seed=5))
         longer = null_distribution(None, G, NullConfig(R=110, seed=5))
         assert longer[: short.size].tobytes() == short.tobytes()
+
+    @pytest.mark.parametrize("state_cells", [2, 256, 2**14])
+    def test_deep_walks_equal_reference(self, state_cells):
+        # N=600 planted on 3 sources with little noise: each row's best
+        # partners are the ~200 members of its own cluster, so as a cluster
+        # is used up its rows' pointers walk past many used partners (up to
+        # 185 entries in one advance). The state cap holds every window at
+        # 1-2 entries, lets it grow a few times, or leaves it to grow to N;
+        # 3 replicates go in each batch.
+        rng = np.random.default_rng(31)
+        K, n_C = 20, 30
+        sources = rng.standard_normal((3, 200))
+        cluster = rng.integers(0, 3, (K, n_C))
+        rc = RunCollection(sources[cluster] + 0.05 * rng.standard_normal((K, n_C, 200)))
+        G = compute_crcm(rc)
+        cfg = NullConfig(R=7, seed=4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raicar, "_STATE_CELLS", state_cells)
+            mp.setattr(null, "_STATE_CELLS", 3 * K * n_C)
+            pool = null_distribution(None, G, cfg)
+            assert pool.tobytes() == _reference_pool(G, cfg).tobytes()
+
+    def test_pool_digest_is_pinned_at_n_2000(self):
+        # the wide path (N=2000, batches of 8) on unplanted maps; pinned
+        # before the matcher's pointer windows and pseudo-order state changed
+        G = compute_crcm(_random_rc(50, 40, 60, seed=24))
+        pool = null_distribution(None, G, NullConfig(R=4, seed=1))
+        assert hashlib.sha256(pool.tobytes()).hexdigest() == (
+            "9c6b9e439561f5ed076738ee2df2485681b2b0827fda85352a12c33fa42698bb"
+        )
 
     @pytest.mark.parametrize("kind", ["random", "zero"])
     def test_bijection_at_n_2000(self, kind):

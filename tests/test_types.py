@@ -61,6 +61,18 @@ class TestCrcm:
         with pytest.raises(ValueError):
             Crcm(2, 2, m)
 
+    @pytest.mark.parametrize("i, j", [(250, 10), (10, 250), (250, 200), (299, 298)])
+    def test_rejects_asymmetry_past_the_first_strip(self, i, j):
+        # N=300 is checked in strips of 64 rows, the last one partial; the
+        # one asymmetric pair has a member, or both, past the first strip
+        rng = np.random.default_rng(1)
+        S = np.triu(rng.uniform(-1, 1, (300, 300)))
+        m = S + np.triu(S, 1).T
+        Crcm(3, 100, m.copy())
+        m[i, j] = -m[j, i] if m[j, i] != 0 else 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            Crcm(3, 100, m)
+
     def test_rejects_out_of_range(self):
         m = np.eye(4)
         m[0, 2] = m[2, 0] = -1.5
