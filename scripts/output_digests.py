@@ -4,7 +4,9 @@ Runs the three CLI commands for one shape and seed in a temporary
 directory, then prints one "digest  path" line per file written and a
 combined digest over those lines. Two checkouts that print the same
 combined digest wrote the same bytes, so a change meant to keep the
-output bits is checked by one command on each.
+output bits is checked by one command on each. Given several shapes or
+seeds, it runs every (shape, seed) pair in turn and prints only one
+combined digest line per pair, labelled with the shape and seed.
 
 BLAS runs on one thread, because the thread count can change the order of
 a product's sums and with it the last bits of the CRCM.
@@ -12,6 +14,7 @@ a product's sums and with it the last bits of the CRCM.
 Usage: python3 scripts/output_digests.py --shape paper --seed 1
        python3 scripts/output_digests.py --shape fmri --seed 2248
        python3 scripts/output_digests.py --shape null-wide --seed 1
+       python3 scripts/output_digests.py --shape paper null-wide fmri --seed 1 2248
        python3 scripts/output_digests.py --K 4 --nc 3 --planted 1 --n 300 --R 5
 """
 
@@ -66,17 +69,22 @@ def digests(root, K, nc, planted, n, R, seed):
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--shape", choices=sorted(SHAPES), default="paper",
-                    help="benchmark shape; the flags below override its sizes")
+    ap.add_argument("--shape", nargs="+", choices=sorted(SHAPES), default=["paper"],
+                    help="benchmark shapes; the flags below override their sizes")
     for flag in ("K", "nc", "planted", "n", "R"):
         ap.add_argument(f"--{flag}", type=int)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", nargs="+", type=int, default=[1])
     args = ap.parse_args()
-    sizes = [given if given is not None else default
-             for given, default in zip((args.K, args.nc, args.planted, args.n, args.R),
-                                       SHAPES[args.shape])]
-    with tempfile.TemporaryDirectory() as root:
-        lines = [f"{h}  {path}" for path, h in digests(root, *sizes, args.seed).items()]
-    print("\n".join(lines))
-    combined = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
-    print(f"{combined}  (combined)")
+    pairs = [(shape, seed) for shape in args.shape for seed in args.seed]
+    for shape, seed in pairs:
+        sizes = [given if given is not None else default
+                 for given, default in zip((args.K, args.nc, args.planted, args.n, args.R),
+                                           SHAPES[shape])]
+        with tempfile.TemporaryDirectory() as root:
+            lines = [f"{h}  {path}" for path, h in digests(root, *sizes, seed).items()]
+        combined = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+        if len(pairs) == 1:
+            print("\n".join(lines))
+            print(f"{combined}  (combined)")
+        else:
+            print(f"{combined}  (combined) {shape} seed {seed}", flush=True)

@@ -8,7 +8,7 @@ values. The relabelled matrix is never built: the matcher reads each row's
 partners from one descending sort of that row, shared by the observed call
 and every replicate, and advances per-row pointers in batches of
 replicates, through windows that grow from 2 entries, keeping each row's
-maximum and free flag in pseudo order. Each replicate draws its RNG from
+maximum and used-row mask in pseudo order. Each replicate draws its RNG from
 (seed, replicate_index), so a replicate's values do not depend on R, on
 the batching, or on which replicates ran before.
 """

@@ -8,8 +8,9 @@ matcher never builds a working matrix: it sorts each row of |G| once per
 matrix and keeps one pointer per row at that row's best partner still
 free and in another run, advancing only the pointers a step made stale,
 through windows that start at 2 entries and grow for the few long walks.
-Each row's current maximum and a free mask are kept in the order of the
-(pseudo-)labels, written in place as pointers move and rows are used.
+Each row's current maximum and a mask reading -inf at used rows are kept
+in the order of the (pseudo-)labels, written in place as pointers move
+and rows are used.
 Observed sets and permutation-null sets (relabellings of that matrix,
 matched in batches) go through the same matcher and the same scoring
 helper, which reads only each set's strict upper triangle of |G|.
@@ -28,14 +29,14 @@ _CRCM_CELLS = 2**22
 
 def compute_crcm(runs) -> Crcm:
     """Signed Pearson correlations between every pair of component maps
-    across all runs; zero-variance maps correlate 0 with everything
-    (including themselves). ``runs`` is a RunCollection or the
-    ``io.RunFiles`` of a manifest, read by ``runs.run`` in two passes
-    through one buffer of every map's slice of a block of locations, at
-    most _CRCM_CELLS cells. The first pass reads one whole run at a time,
-    for each map's mean and centred norm, centring it in the array that
-    ``runs.run`` returns (in a copy, if that is a RunCollection's read-only
-    view), and keeps the first block; the second reads every run's slice
+    across all runs; a map of equal values is centred on its own value,
+    which its mean can miss by an ulp, so it correlates 0 with every map,
+    itself included. ``runs`` is a RunCollection or the ``io.RunFiles`` of
+    a manifest, read by ``runs.run`` in two passes through one buffer of
+    every map's slice of a block of locations, at most _CRCM_CELLS cells.
+    The first pass reads one whole run at a time, for each map's mean and
+    centred norm, centring it in the writable array that ``runs.run``
+    returns, and keeps the first block; the second reads every run's slice
     of each further block. Each block, centred and scaled, adds its Z @ Z.T
     to the matrix. Where n fits in one block this is one product over the
     whole maps."""
@@ -48,9 +49,8 @@ def compute_crcm(runs) -> Crcm:
     for r in range(K):
         rows = slice(r * n_C, (r + 1) * n_C)
         X = runs.run(r)  # centred and squared in place
-        if not X.flags.writeable:
-            X = X.copy()
-        means[rows] = X.mean(axis=1, keepdims=True)
+        flat = (X == X[:, :1]).all(axis=1, keepdims=True)
+        means[rows] = np.where(flat, X[:, :1], X.mean(axis=1, keepdims=True))
         X -= means[rows]
         Z[rows] = X[:, :width]
         np.multiply(X, X, out=X)
@@ -91,14 +91,21 @@ def _greedy(G: Crcm, perms: np.ndarray):
     ``perms`` is (B, N): in replicate b, flat (pseudo-)label f holds G's
     component ``perms[b, f]``, and pseudo-run f // n_C. The working matrix
     of a replicate is |G| relabelled, with its within-pseudo-run blocks and
-    the rows and columns of used components zeroed; it is never built.
+    the rows and columns of used components at -inf; it is never built.
     Instead each (replicate, row) keeps a pointer into ``G.row_order`` at
     the row's best partner that is unused and in another pseudo-run, so
-    the pointer's value is the row's maximum. That maximum (-1 once the
-    row is used) and a 1.0 / 0.0 free mask are kept in pseudo order, and
-    a move of a pointer or a use of a row writes them in place. A step
-    reads those two B x N arrays, two O(N) rows, and the pointers its
-    members made stale.
+    the pointer's value is the row's maximum. That maximum (-inf once the
+    row is used) and an additive mask (0.0 while free, -inf once used) are
+    kept in pseudo order, and a move of a pointer or a use of a row writes
+    them in place. A step reads those two B x N arrays, two O(N) rows, and
+    the pointers its members made stale.
+
+    Every pick is a first-index argmax, and the -inf cells make that the
+    matching's whole rule: free cells read >= 0 and every pseudo-run keeps
+    a free member, so a maximum of 0 seeds at the lowest free members of
+    pseudo-runs 0 and 1, a run reading 0 against both anchor members gives
+    its lowest free member, and each anchor member is its run's first
+    maximum (an earlier free cell of that value would be the anchor).
 
     Returns ``(members, anchor_run)``: members (B, n_C, K) are G's flat
     labels of each slot's members in pseudo-run order, anchor_run (B, n_C)
@@ -123,9 +130,9 @@ def _greedy(G: Crcm, perms: np.ndarray):
     used = np.zeros(B * N, dtype=bool)
     ptr = row_start - 1  # position of its pointer in the flat row_order
     tgt = np.empty(B * N, dtype=np.int64)  # G column under the pointer
-    # in pseudo order: each row's maximum (-1 once used), and 1.0 while free
+    # in pseudo order: each row's maximum, and 0.0 while free; -inf once used
     top = np.empty((B, N))
-    free = np.ones((B, K, n_C))
+    closed = np.zeros((B, K, n_C))
 
     def advance(cells):
         """Move each cell's pointer to its row's next partner that is
@@ -150,8 +157,8 @@ def _greedy(G: Crcm, perms: np.ndarray):
     def working_row(f):
         """Row f of each replicate's working matrix, in pseudo order."""
         w = np.abs(signed[(perms[reps, f] * N)[:, None] + perms]).reshape(B, K, n_C)
-        w *= free
-        w[reps, f // n_C] = 0.0
+        w += closed
+        w[reps, f // n_C] = -np.inf
         return w
 
     advance(np.arange(B * N))
@@ -162,50 +169,38 @@ def _greedy(G: Crcm, perms: np.ndarray):
         # and that row's first maximum: the working matrix is symmetric, so
         # this is its first maximum in row-major order and fi < fj
         fi = top.argmax(axis=1)
-        # fully degenerate replicate: seed from the lowest-index unused
-        # components of pseudo-runs 0 and 1
-        degenerate = top[reps, fi] <= 0.0
-        if degenerate.any():
-            fi[degenerate] = free[degenerate, 0].argmax(axis=1)
         row = working_row(fi)
         fj = row.reshape(B, N).argmax(axis=1)
-        if degenerate.any():
-            fj[degenerate] = n_C + free[degenerate, 1].argmax(axis=1)
         col = working_row(fj)  # row fj equals column fj by symmetry
         # per run: the member best correlated with either anchor member,
-        # the column side winning ties; the lowest free one if both are 0
+        # the column side winning ties
         a, b = col.argmax(axis=2), row.argmax(axis=2)
-        a_val, b_val = col.max(axis=2), row.max(axis=2)
-        pick = np.where(a_val >= b_val, a, b)
-        both_zero = (a_val == 0.0) & (b_val == 0.0)
-        if both_zero.any():
-            pick[both_zero] = free.argmax(axis=2)[both_zero]
-        (l, i), (m, j) = divmod(fi, n_C), divmod(fj, n_C)
-        pick[reps, l], pick[reps, m] = i, j
+        pick = np.where(col.max(axis=2) >= row.max(axis=2), a, b)
         slots = runs * n_C + pick  # pseudo labels of the members
         taken = np.take_along_axis(perms, slots, 1)
-        members[:, s], anchor_run[:, s] = taken, l
+        members[:, s], anchor_run[:, s] = taken, fi // n_C
         used[(taken + offset).reshape(-1)] = True
-        top[reps[:, None], slots] = -1.0
-        free[reps[:, None], runs, pick] = 0.0
+        top[reps[:, None], slots] = -np.inf
+        closed[reps[:, None], runs, pick] = -np.inf
         if s + 1 < n_C:
             advance(np.flatnonzero(used[base_of + tgt] & ~used))
     return members, anchor_run
 
 
 def match_components(G: Crcm, order=None):
-    """Greedy across-run matching on |G| with the within-run blocks zeroed,
-    after relabelling: flat index f holds G's component ``order[f]``
+    """Greedy across-run matching on |G| with the within-run blocks at
+    -inf, after relabelling: flat index f holds G's component ``order[f]``
     (identity if None), so a null replicate is this call on a permutation.
 
     Each component slot seeds a matched set at the global maximum (the
     anchor pair), then takes from every other run the unused component
     best correlated with either anchor member, the second member winning
-    ties, and retires all members. A run with no positive correlation to
-    either takes its lowest-index unused component. Returns one (members,
-    anchor) pair per slot, members being G's (run, component) pairs in
-    (pseudo-)run order; across all sets every (run, component) pair is
-    used exactly once.
+    ties, and retires all members, whose rows and columns then read -inf.
+    Every argmax takes the first index of its maximum, so a run with no
+    positive correlation to either takes its lowest-index unused
+    component. Returns one (members, anchor) pair per slot, members being
+    G's (run, component) pairs in (pseudo-)run order; across all sets
+    every (run, component) pair is used exactly once.
     """
     N = G.K * G.n_C
     g = np.arange(N) if order is None else _check_permutation(order, N)

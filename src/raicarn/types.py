@@ -72,8 +72,9 @@ class RunCollection:
 
     def run(self, r, lo=0, hi=None) -> np.ndarray:
         """The maps of run r at locations lo .. hi - 1 (all n by default),
-        an (n_C, hi - lo) view, as ``io.RunFiles.run`` reads them."""
-        return self.maps[r, :, lo:hi]
+        as a writable (n_C, hi - lo) array of its own, as
+        ``io.RunFiles.run`` reads them."""
+        return self.maps[r, :, lo:hi].copy()
 
 
 def check_run_shape(K, n_C, n) -> None:

@@ -255,6 +255,22 @@ class TestRaicarn:
         assert report.significant[0] and report.significant[1]
         assert not report.significant[2]
 
+    def test_constant_maps_are_not_a_significant_set(self, tmp_path):
+        # the first map of every run is all 0.1, whose mean over 2000
+        # locations is an ulp off 0.1; those maps correlate 0 with every
+        # map, so they do not match as a reproducible set
+        maps = np.random.default_rng(0).standard_normal((5, 3, 2000))
+        maps[:, 0] = 0.1
+        names = [f"run{r}.rnm" for r in range(5)]
+        for name, run in zip(names, maps):
+            io.write_matrix(run, tmp_path / name)
+        io.write_manifest(names, tmp_path / "manifest.txt")
+        out = tmp_path / "rep"
+        assert main(["raicarn", str(tmp_path / "manifest.txt"), "--R", "200", "--seed", "1", "--out", str(out)]) == 0
+        report = io.read_report(out / "report.txt")
+        assert not report.significant.any()
+        assert max(mc.reproducibility for mc in report.matched) < 0.1
+
     def test_R_zero_is_usage_error(self, tmp_path):
         manifest = _simulate(tmp_path / "sim", seed=13)
         rc = main(["raicarn", manifest, "--R", "0", "--seed", "0", "--out", str(tmp_path / "o")])

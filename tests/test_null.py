@@ -99,6 +99,13 @@ def _tied_or_random(kind, K, n_C, rng):
         U = np.full((N, N), U[0, 0])
     elif kind == "zero":
         U = np.zeros((N, N))
+    elif kind == "zero-run":
+        # one run's rows and columns are all 0: under a positive maximum
+        # its members read 0 against both anchor members, and the lowest
+        # free one is taken
+        r = rng.integers(K)
+        U[r * n_C : (r + 1) * n_C] = 0.0
+        U[:, r * n_C : (r + 1) * n_C] = 0.0
     S = np.triu(U)
     return Crcm(K, n_C, S + np.triu(S, 1).T)
 
@@ -156,7 +163,7 @@ class TestRelabelledMatching:
         st.integers(0, 2**32 - 1),
         st.integers(2, 7),
         st.integers(1, 6),
-        st.sampled_from(["random", "quantised", "sparse", "constant", "zero"]),
+        st.sampled_from(["random", "quantised", "sparse", "constant", "zero", "zero-run"]),
     )
     def test_relabelled_matcher_equals_permuted_matrix(self, seed, K, n_C, kind):
         rng = np.random.default_rng(seed)
@@ -184,7 +191,7 @@ class TestBatchedNull:
         st.integers(0, 2**32 - 1),
         st.integers(2, 6),
         st.integers(1, 5),
-        st.sampled_from(["random", "quantised", "sparse", "constant", "zero"]),
+        st.sampled_from(["random", "quantised", "sparse", "constant", "zero", "zero-run"]),
         st.integers(2, 4),
         st.integers(0, 3),
     )

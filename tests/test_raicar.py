@@ -50,12 +50,29 @@ class TestComputeCrcm:
             expected = _hand_corr(rc.maps[0, i], rc.maps[1, j])
             assert np.abs(G.signed)[i, 2 + j] == pytest.approx(expected, abs=1e-12)
 
-    def test_zero_variance_map_correlates_zero(self):
+    def test_zero_variance_map_correlates_zero(self, tmp_path, monkeypatch):
+        # 0.1 repeated 2000 times has a mean an ulp off 0.1: centred on that
+        # mean, the map would keep a residue that scaling makes a unit map
         rng = np.random.default_rng(4)
-        maps = rng.standard_normal((2, 2, 30))
-        maps[0, 0] = 5.0  # constant map
-        G = compute_crcm(RunCollection(maps))
-        assert not G.signed[0, 2:].any()
+        for value, n in ((5.0, 30), (0.1, 2000)):
+            maps = rng.standard_normal((2, 2, n))
+            maps[0, 0] = value  # constant map
+            G = compute_crcm(RunCollection(maps))
+            assert not G.signed[0].any() and not G.signed[:, 0].any()
+        # through a masked manifest, over blocks of 500 of the 2000 kept
+        # locations, so the second pass centres the map too
+        maps = rng.standard_normal((2, 2, 3000))
+        maps[1, 1] = 0.1
+        for r, run in enumerate(maps):
+            io.write_matrix(run, tmp_path / f"run{r}.rnm")
+        mask = np.ones(3000, dtype=bool)
+        mask[::3] = False
+        io.write_matrix(mask[None, :].astype(float), tmp_path / "mask.rnm")
+        io.write_manifest(["run0.rnm", "run1.rnm"], tmp_path / "manifest.txt", mask_path="mask.rnm")
+        monkeypatch.setattr(raicar, "_CRCM_CELLS", 2000)
+        G = compute_crcm(io.open_runs(tmp_path / "manifest.txt"))
+        assert not G.signed[3].any() and not G.signed[:, 3].any()
+        assert np.abs(G.signed[:3, :3]).min() > 0
 
     def test_blocks_of_locations_give_the_whole_map_correlations(self, tmp_path, monkeypatch):
         # 3 runs of 4 maps, 66 of 100 locations kept by the mask: with a cap
