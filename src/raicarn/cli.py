@@ -147,13 +147,12 @@ def cmd_ica(args) -> int:
     if "q" not in settings:
         raise UsageError("model order --q is required (flag or config)")
     cfg = IcaConfig(**settings, seed=args.seed)
-    mats = [io.read_matrix(p) for p in args.data]
-    if args.group:
-        Y = stack_group(mats)
-    elif len(mats) == 1:
-        Y = mats[0]
-    else:
+    if not args.group and len(args.data) != 1:
         raise UsageError("single-run mode takes exactly one data file (use --group)")
+    # the datasets are dropped once stacked, so the stack is the one copy
+    # held through the fit and residual_sd
+    Y = (stack_group([io.read_matrix(p) for p in args.data]) if args.group
+         else io.read_matrix(args.data[0]))
     model = run_single_ica(Y, cfg)
     out = _outdir(args)
     maps = model.S if args.raw else z_scale(model.S, residual_sd(Y, model))

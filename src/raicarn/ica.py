@@ -162,10 +162,27 @@ def z_scale(S, residual_sd) -> np.ndarray:
 
 
 def residual_sd(Y, model: IcaModel) -> np.ndarray:
-    """Per-location standard deviation of Y - mu - A S (unbiased)."""
-    resid = np.asarray(Y, dtype=np.float64) - model.mu[:, None]
-    resid -= model.A @ model.S
-    return resid.std(axis=0, ddof=1)
+    """Per-location standard deviation of Y - mu - A S (unbiased).
+
+    Holds one p x n array beside Y: the product A S, overwritten row by
+    row with the residual and then with its squared deviations. The sums
+    run in the order numpy's std(axis=0, ddof=1) takes on a C-ordered
+    residual, so the result has those bits for every memory order of Y."""
+    Y = np.asarray(Y, dtype=np.float64)
+    p, n = model.A.shape[0], model.S.shape[1]
+    if Y.shape != (p, n):
+        raise ShapeMismatchError(f"data of shape {Y.shape} for a model of {p} x {n}")
+    R = model.A @ model.S
+    buf = np.empty(n)
+    for y, m, row in zip(Y, model.mu, R):
+        np.subtract(y, m, out=buf)
+        np.subtract(buf, row, out=row)
+    mean = np.add.reduce(R, axis=0, keepdims=True)
+    mean /= p
+    R -= mean
+    R *= R
+    var = np.add.reduce(R, axis=0) / (p - 1)
+    return np.sqrt(var, out=var)
 
 
 def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
@@ -188,12 +205,21 @@ def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
 
 def stack_group(datasets) -> np.ndarray:
     """Center each dataset's rows and stack them time-wise: the matrix that
-    a group decomposition runs on and is scored against."""
+    a group decomposition runs on and is scored against.
+
+    The stack is allocated once and each dataset's centred rows are written
+    into it in turn, so beside the datasets only the stack and one centred
+    dataset are held."""
     mats = [np.asarray(d, dtype=np.float64) for d in datasets]
     counts = [m.shape[1] for m in mats]
     if len(set(counts)) != 1:
         raise ShapeMismatchError(f"all datasets must share the location count n, got {counts}")
-    return np.vstack([center(m)[1] for m in mats])
+    stack = np.empty((sum(m.shape[0] for m in mats), counts[0]))
+    top = 0
+    for m in mats:
+        stack[top : top + m.shape[0]] = center(m)[1]
+        top += m.shape[0]
+    return stack
 
 
 def run_group_ica(datasets, cfg: IcaConfig) -> IcaModel:

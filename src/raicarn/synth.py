@@ -44,7 +44,11 @@ def gen_mixture(S, p: int, sigma: float, seed: int):
     rng = np.random.default_rng(seed)
     A, _ = np.linalg.qr(rng.standard_normal((p, q)))
     mu = rng.standard_normal(p)
-    Y = mu[:, None] + A @ S + sigma * rng.standard_normal((p, n))
+    # built in place: Y and the noise are the only p x n arrays held
+    Y = mu[:, None] + A @ S
+    noise = rng.standard_normal((p, n))
+    noise *= sigma
+    Y += noise
     return Y, A, mu
 
 

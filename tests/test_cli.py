@@ -176,6 +176,29 @@ class TestIca:
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
 
+    # SHA-256 of every file ica writes, one run and one group of two, at a
+    # shape too small for BLAS to thread
+    DIGESTS = {
+        "single/components.rnm": "67e22edd41a42f76c95a219b51a6b6e4fe095d6dfb7972892c8d43a963796a9a",
+        "single/mean.rnm": "c365ad63a624888b4ca3d9e2e4b893ce220489d92824d64452ae957a08ed5603",
+        "single/mixing.rnm": "2008ee769e54b24580157a95d79a5d2993c0cd8cfb6a2b6b9e1d9acc42607c85",
+        "single/model.txt": "72810d66a7cfd7be2fb1ac99ef4f99b428eb819152fa83da3ed39522edd3cc26",
+        "group/components.rnm": "31bcca567eae78a047c614a46f2ac5a5b876df30ca4073dd6b7b1bf2a34643eb",
+        "group/mean.rnm": "3e429a15a15442728f231c82e96da7c5bed77545485c3c4638653176d3585d10",
+        "group/mixing.rnm": "806804acf6451881c926966a833107dcc74749e5b4a1e4eb344ebf767e9bba61",
+        "group/model.txt": "8b520517b53136f887c5ed46b0343066db2a6b93b33fae1cbc4c11180036af49",
+    }
+
+    @pytest.mark.parametrize("mode", ["single", "group"])
+    def test_output_bytes_are_pinned(self, tmp_path, mode):
+        data = [_ica_data(tmp_path)] if mode == "single" else [
+            _ica_data(tmp_path, seed=2), _ica_data(tmp_path, seed=3), "--group"]
+        out = tmp_path / mode
+        assert main(["ica", *map(str, data), "--q", "3", "--seed", "1", "--out", str(out)]) == 0
+        written = {f"{mode}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in sorted(out.iterdir())}
+        assert written == {k: v for k, v in self.DIGESTS.items() if k.startswith(mode + "/")}
+
     def test_config_supplies_defaults(self, tmp_path):
         data = _ica_data(tmp_path, seed=7)
         cfg = tmp_path / "p.cfg"
@@ -701,6 +724,27 @@ def test_mixture_holds_one_component_at_a_time(tmp_path):
     assert grown_kb < stacks / 1024 / 2
 
 
+@pytest.mark.parametrize("group", [False, True], ids=["single", "group"])
+def test_ica_holds_two_copies_of_its_data(tmp_path, group):
+    # 64 rows of 62500 locations are 32 MB, read as one matrix or as four
+    # datasets of 16 rows. With the data beside its centred copy in the fit
+    # and beside A S in residual_sd, ica raised the peak by 77 MB; with a
+    # third copy in residual_sd, by 107 MB, and in group mode, with the
+    # datasets also held beside their stack, by 138 MB.
+    S = gen_sources(4, 62_500, "laplacian", seed=40)
+    parts = 4 if group else 1
+    paths = []
+    for i in range(parts):
+        Y, _, _ = gen_mixture(S, p=64 // parts, sigma=1.0, seed=41 + i)
+        paths.append(str(tmp_path / f"data{i}.rnm"))
+        io.write_matrix(Y, paths[-1])
+    del Y
+    grown_kb = _peak_growth_kb("ica", *paths, *(["--group"] if group else []), "--q", "4",
+                               "--max-iters", "10", "--seed", "1", "--out", str(tmp_path / "ica"))
+    data = 64 * 62_500 * 8
+    assert grown_kb < 3 * data / 1024
+
+
 # report edits: (pattern, replacement) applied once to report.txt
 REPORT_EDITS = {
     "member sign not + or -": (r"^(members = \d+:\d+):[+-]", r"\1:*"),
@@ -770,6 +814,8 @@ class TestRejections:
             maps[1, 17] = np.nan
             _write_unchecked(maps, sim / "run02.rnm")
             return ["raicarn", manifest, "--R", "5", "--seed", "1"]
+        if case == "second ica data file missing without --group":
+            return ["ica", str(sim / "run00.rnm"), str(sim / "gone.rnm"), "--q", "1", "--seed", "1"]
         if case == "ica without --q":
             return ["ica", str(sim / "run00.rnm"), "--seed", "1"]
         if case.startswith("negative seed to "):
@@ -798,6 +844,7 @@ class TestRejections:
         ("two mask lines", 1, "bad.txt: manifest lists more than one mask"),
         ("mask not 0/1", 1, "mask.rnm: mask values must be 0 or 1"),
         ("NaN in a run", 1, "run02.rnm: map 2 contains non-finite values"),
+        ("second ica data file missing without --group", 2, "single-run mode takes exactly one data file"),
         ("ica without --q", 2, "--q is required"),
         ("negative seed to ica", 2, "seed must be >= 0, got -1"),
         ("negative seed to raicarn", 2, "seed must be >= 0, got -1"),

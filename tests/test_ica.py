@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from raicarn.errors import RaggedRunsError, RankDeficientError, ShapeMismatchError, ZeroVarianceError
+from raicarn.errors import (
+    NonFiniteError,
+    RaggedRunsError,
+    RankDeficientError,
+    ShapeMismatchError,
+    ZeroVarianceError,
+)
 from raicarn.ica import (
     IcaConfig,
     center,
     fastica,
     pca_reduce,
+    residual_sd,
     run_group_ica,
     run_single_ica,
+    stack_group,
     z_scale,
 )
 from raicarn.synth import gen_mixture, gen_sources
@@ -166,6 +174,64 @@ class TestZScale:
         with pytest.raises(ZeroVarianceError) as ei:
             z_scale(np.ones((2, 3)), np.array([1.0, 0.0, 1.0]))
         assert ei.value.indices == [1]
+
+
+class TestResidualSd:
+    @staticmethod
+    def _model_and_data(p, n, q, seed):
+        rng = np.random.default_rng(seed)
+        S = rng.standard_normal((q, n))
+        S -= S.mean(axis=1, keepdims=True)
+        model = IcaModel(mu=rng.standard_normal(p), A=rng.standard_normal((p, q)), S=S, sigma2=0.0)
+        Y = model.mu[:, None] + model.A @ S + 0.3 * rng.standard_normal((p, n))
+        return model, Y
+
+    @pytest.mark.parametrize("p, n, q", [(2, 7, 1), (3, 1001, 2), (9, 1500, 3), (30, 2001, 4), (100, 10000, 16)])
+    def test_equals_the_std_of_the_residual(self, p, n, q):
+        model, Y = self._model_and_data(p, n, q, seed=p + n)
+        reference = (Y - model.mu[:, None] - model.A @ model.S).std(axis=0, ddof=1)
+        assert residual_sd(Y, model).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("p, n, q", [(2, 7, 1), (30, 2001, 4)])
+    def test_memory_order_of_the_data_does_not_change_the_bits(self, p, n, q):
+        # numpy's std of a Fortran-ordered residual sums each column
+        # pairwise, so its last bits differ; the C-ordered residual is the
+        # reference for Fortran-ordered and strided Y alike
+        model, Y = self._model_and_data(p, n, q, seed=p + n)
+        reference = (Y - model.mu[:, None] - model.A @ model.S).std(axis=0, ddof=1)
+        assert residual_sd(np.asfortranarray(Y), model).tobytes() == reference.tobytes()
+        assert residual_sd(np.repeat(Y, 2, axis=1)[:, ::2], model).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("reshape", ["a row more", "a row less", "a location less"])
+    def test_rejects_data_of_another_shape(self, reshape):
+        model, Y = self._model_and_data(5, 300, 2, seed=27)
+        Y = {"a row more": np.vstack([Y, Y[:1]]), "a row less": Y[:-1], "a location less": Y[:, :-1]}[reshape]
+        with pytest.raises(ShapeMismatchError):
+            residual_sd(Y, model)
+
+
+class TestStackGroup:
+    def test_equals_the_stack_of_centred_datasets(self):
+        rng = np.random.default_rng(26)
+        mats = [rng.standard_normal((p, 1001)) + rng.standard_normal((p, 1)) for p in (2, 5, 3)]
+        mats[1] = np.asfortranarray(mats[1])
+        reference = np.vstack([center(m)[1] for m in mats])
+        stack = stack_group(mats)
+        assert stack.shape == (10, 1001)
+        assert stack.tobytes() == reference.tobytes()
+
+    def test_integer_datasets_are_read_as_float64(self):
+        mats = [np.arange(12).reshape(3, 4), np.arange(8).reshape(2, 4) ** 2]
+        reference = np.vstack([center(m)[1] for m in mats])
+        assert stack_group(mats).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((3, 11)), ShapeMismatchError),
+        (np.full((3, 10), np.nan), NonFiniteError),
+    ])
+    def test_rejects(self, bad, error):
+        with pytest.raises(error):
+            stack_group([np.ones((2, 10)), bad])
 
 
 class TestRunSingleIca:

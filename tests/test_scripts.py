@@ -35,17 +35,31 @@ def _load(path, name):
     return module
 
 
-def test_digest_shapes_are_the_benchmark_workloads(monkeypatch):
-    # `output_digests.py --shape W` checks the bytes of benchmark workload W;
+def _digests_and_bench(monkeypatch):
     # both modules pin BLAS threads in os.environ and the script extends
     # sys.path, so both are restored afterwards
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.syspath_prepend(str(BENCH))
-    digests = _load(SCRIPTS / "output_digests.py", "output_digests")
-    bench = _load(BENCH / "run.py", "bench_run")
-    assert set(digests.SHAPES) == {"paper", "fmri", "null-wide"}
+    return _load(SCRIPTS / "output_digests.py", "output_digests"), _load(BENCH / "run.py", "bench_run")
+
+
+def test_digest_shapes_are_the_benchmark_workloads(monkeypatch):
+    # `output_digests.py --shape W` checks the bytes of benchmark workload W
+    digests, bench = _digests_and_bench(monkeypatch)
+    assert set(digests.SHAPES) | {"restarts"} == set(bench.WORKLOADS)
     for name, sizes in digests.SHAPES.items():
         w = bench.WORKLOADS[name]
         assert sizes == (w.K, w.nc, w.planted, w.n, w.R)
+    w = bench.WORKLOADS["restarts"]
+    assert digests.RESTARTS == (w.p, w.n, w.sources, w.q, w.restarts, w.R, w.sigma)
+
+
+def test_restarts_digests_cover_the_data_every_ica_output_and_the_report(monkeypatch, tmp_path):
+    digests, _ = _digests_and_bench(monkeypatch)
+    found = digests.restarts_digests(str(tmp_path), 12, 600, 3, 4, 2, 10, 1.0, seed=1)
+    runs = [f"out/ica{i:02d}/{name}" for i in range(2)
+            for name in ("components.rnm", "mean.rnm", "mixing.rnm", "model.txt")]
+    assert list(found) == ["inputs/data.rnm", "inputs/manifest.txt", *runs,
+                           "out/report/report.txt", "out/report/report.txt.null.rnm"]

@@ -72,6 +72,18 @@ class TestGenMixture:
         with pytest.raises(DomainError):
             gen_mixture(np.ones((3, 10)), p=3, sigma=0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+    def test_equals_the_one_expression_it_replaced(self, sigma):
+        # built in place, Y has the bits and draws of the one expression
+        S = gen_sources(3, 1001, "laplacian", seed=10)
+        Y, A, mu = gen_mixture(S, p=7, sigma=sigma, seed=11)
+        rng = np.random.default_rng(11)
+        A_ref, _ = np.linalg.qr(rng.standard_normal((7, 3)))
+        mu_ref = rng.standard_normal(7)
+        Y_ref = mu_ref[:, None] + A_ref @ S + sigma * rng.standard_normal((7, 1001))
+        assert Y.tobytes() == Y_ref.tobytes()
+        assert A.tobytes() == A_ref.tobytes() and mu.tobytes() == mu_ref.tobytes()
+
 
 class TestPlantedRunset:
     def test_perfect_overlap_is_exact_copies(self):
