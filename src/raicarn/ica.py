@@ -48,11 +48,17 @@ class FastIcaResult:
         return self.stopped == "tolerance"
 
 
-def center(Y):
-    """Split off row means: returns (mu, Y - mu)."""
+def _as_matrix(Y) -> np.ndarray:
+    """Y as a float64 p x n matrix, if it is one with n >= 2."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[1] < 2:
         raise DegenerateDataError("need a p x n matrix with n >= 2")
+    return Y
+
+
+def center(Y):
+    """Split off row means: returns (mu, Y - mu)."""
+    Y = _as_matrix(Y)
     if not np.isfinite(Y).all():
         raise NonFiniteError("data matrix contains non-finite values")
     mu = Y.mean(axis=1)
@@ -210,7 +216,7 @@ def stack_group(datasets) -> np.ndarray:
     The stack is allocated once and each dataset's centred rows are written
     into it in turn, so beside the datasets only the stack and one centred
     dataset are held."""
-    mats = [np.asarray(d, dtype=np.float64) for d in datasets]
+    mats = [_as_matrix(d) for d in datasets]  # shapes checked before n is read
     counts = [m.shape[1] for m in mats]
     if len(set(counts)) != 1:
         raise ShapeMismatchError(f"all datasets must share the location count n, got {counts}")

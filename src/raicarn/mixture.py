@@ -218,17 +218,18 @@ class MixtureFit:
         object.__setattr__(self, "loglik_trace", trace)
 
 
-def _t_logpdf(x, loc, scale, dof):
-    z = (x - loc) / scale
+def _t_logpdf(z2, scale, dof):
+    """Log density of the location-scale t at the squared standardized
+    values z2 = ((x - loc) / scale) ** 2; an infinite dof is the normal."""
     if np.isinf(dof):
-        return -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(scale)
+        return -0.5 * z2 - 0.5 * np.log(2.0 * np.pi) - np.log(scale)
     const = (
         math.lgamma((dof + 1.0) / 2.0)
         - math.lgamma(dof / 2.0)
         - 0.5 * np.log(dof * np.pi)
         - np.log(scale)
     )
-    return const - 0.5 * (dof + 1.0) * np.log1p(z**2 / dof)
+    return const - 0.5 * (dof + 1.0) * np.log1p(z2 / dof)
 
 
 def _tail_supports(x, shift_pos, shift_neg):
@@ -245,7 +246,8 @@ def _tail_supports(x, shift_pos, shift_neg):
 def _class_logpdfs(x, t_params, gammas, supports):
     """Class log densities, rows (t, Gamma+, Gamma-); -inf off a Gamma's support."""
     lp = np.full((3, x.shape[0]), -np.inf)
-    lp[0] = _t_logpdf(x, *t_params)
+    loc, scale, dof = t_params
+    lp[0] = _t_logpdf(((x - loc) / scale) ** 2, scale, dof)
     for k, ((shape, rate), (idx, y, logy)) in enumerate(zip(gammas, supports), start=1):
         lp[k, idx] = shape * np.log(rate) - math.lgamma(shape) + (shape - 1) * logy - rate * y
     return lp
@@ -299,8 +301,9 @@ def _weighted_gamma_mle(y, logy, w):
 def _select_dof(x, loc, scale, weights=None):
     """Pick the background dof from a fixed grid by (weighted) likelihood."""
     best, best_ll = _DOF_GRID[0], -np.inf
+    z2 = ((x - loc) / scale) ** 2  # the same at every grid value
     for dof in _DOF_GRID:
-        lp = _t_logpdf(x, loc, scale, dof)
+        lp = _t_logpdf(z2, scale, dof)
         ll = float(lp.sum() if weights is None else np.dot(weights, lp))
         if ll > best_ll:
             best, best_ll = dof, ll

@@ -10,7 +10,9 @@ free and in another run, advancing only the pointers a step made stale,
 through windows that start at 2 entries and grow for the few long walks.
 Each row's current maximum and a mask reading -inf at used rows are kept
 in the order of the (pseudo-)labels, written in place as pointers move
-and rows are used.
+and rows are used. Every per-row reduction over a run's members or a
+window's entries is one first-index argmax, or none where the window is
+1 or 2 entries wide; no reduction repeats an argmax to read its maximum.
 Observed sets and permutation-null sets (relabellings of that matrix,
 matched in batches) go through the same matcher and the same scoring
 helper, which reads only each set's strict upper triangle of |G|.
@@ -56,8 +58,11 @@ def compute_crcm(runs) -> Crcm:
         np.multiply(X, X, out=X)
         norms[rows, 0] = np.sqrt(np.add.reduce(X, axis=1))
         del X  # freed before the next run is read
-    # a zero-norm row is already all zeros, so it is left as it is
-    np.divide(Z, norms, out=Z, where=norms > 0)
+    # a zero-norm row is divided by 1.0, which leaves it as it is: all zeros
+    # for a map of equal values, but not for a map of values near 1e-170,
+    # whose squares underflow, so that its norm is 0 and its row is not
+    norms[norms == 0.0] = 1.0
+    np.divide(Z, norms, out=Z)
     C = Z @ Z.T
     for lo in range(width, n, width):
         hi = min(lo + width, n)
@@ -65,7 +70,7 @@ def compute_crcm(runs) -> Crcm:
         for r in range(K):
             rows = slice(r * n_C, (r + 1) * n_C)
             np.subtract(runs.run(r, lo, hi), means[rows], out=Z[rows])
-        np.divide(Z, norms, out=Z, where=norms > 0)
+        np.divide(Z, norms, out=Z)
         C += Z @ Z.T  # each addend is exactly symmetric, so C stays so
     del buf, Z  # unmapped now, not after the Crcm is built and checked
     np.clip(C, -1.0, 1.0, out=C)
@@ -81,7 +86,8 @@ def _check_permutation(g, N: int) -> np.ndarray:
 
 
 # Fixed cap on the batched matcher's state: about this many (replicate,
-# row) cells per batch, so every per-step temporary stays near 128 kB.
+# row) cells per batch, so every per-step temporary stays near 128 kB, and
+# the first window of a pointer walk, 2 entries of each row, near 256 kB.
 _STATE_CELLS = 2**14
 
 
@@ -99,6 +105,13 @@ def _greedy(G: Crcm, perms: np.ndarray):
     kept in pseudo order, and a move of a pointer or a use of a row writes
     them in place. A step reads those two B x N arrays, two O(N) rows, and
     the pointers its members made stale.
+
+    The two rows are laid side by side per pseudo-run, column fj's entries
+    then row fi's, so that one first-index argmax over the pair picks each
+    run's member, the column side winning ties, with no second reduction
+    for the maxima. The pointer walks lay a window's entries along the
+    first axis, so every elementwise pass runs along the rows being
+    walked, not along windows of 1 or 2 entries.
 
     Every pick is a first-index argmax, and the -inf cells make that the
     matching's whole rule: free cells read >= 0 and every pseudo-run keeps
@@ -123,41 +136,63 @@ def _greedy(G: Crcm, perms: np.ndarray):
     cell = perms + offset  # state cell of each pseudo label
     base_of = np.repeat(reps * N, N)  # first state cell of its replicate
     row_start = np.tile(np.arange(0, N * N, N), B)  # its row's start in the flat arrays
-    block = np.empty(B * N, dtype=np.int64)  # its pseudo-run
+    block = np.empty(B * N, dtype=np.int32)  # its pseudo-run
     block[cell] = np.arange(N) // n_C
     at = np.empty(B * N, dtype=np.int64)  # its flat position in pseudo order
     at[cell] = np.arange(B * N).reshape(B, N)
-    used = np.zeros(B * N, dtype=bool)
+    free = np.ones(B * N, dtype=bool)
     ptr = row_start - 1  # position of its pointer in the flat row_order
-    tgt = np.empty(B * N, dtype=np.int64)  # G column under the pointer
+    steps = np.arange(1, N + 1)[:, None]  # a window's offsets from the pointer
+    tgt = np.empty(B * N, dtype=np.int64)  # state cell under the pointer
     # in pseudo order: each row's maximum, and 0.0 while free; -inf once used
     top = np.empty((B, N))
     closed = np.zeros((B, K, n_C))
+    # per pseudo-run: the working entries of column fj, then of row fi
+    pair = np.empty((B, K, 2, n_C))
 
     def advance(cells):
         """Move each cell's pointer to its row's next partner that is
         unused and in another pseudo-run. Nearly every such partner lies
-        within an entry or two, so each pass scans a window that starts
-        at 2 entries and grows 4x for the rows still unresolved, capped at
-        N per row and about _STATE_CELLS per pass."""
+        within an entry or two, so each pass scans a window of entries for
+        the rows still unresolved. The first pass of a call reads 2
+        entries of each row, whatever the cap: in the first call a row's
+        first entry is mostly its own diagonal, in its own run, so a window
+        of 1 would resolve almost no row and the pass would be spent. Each
+        later window is 4x wider, capped at N per row and about
+        _STATE_CELLS cells per pass. A window of 1 or 2 entries takes its
+        first usable entry elementwise; a wider one by one argmax."""
         todo, grow = cells, 2
         while todo.size:
-            width = min(grow, N, max(1, _STATE_CELLS // todo.size))
-            # a free row always has such a partner before its row's end
-            pos = np.minimum(ptr[todo, None] + np.arange(1, width + 1), row_start[todo, None] + N - 1)
-            t = base_of[todo, None] + order[pos]
-            ok = ~used[t] & (block[t] != block[todo, None])
-            hit = ok.argmax(axis=1)
-            found = ok[np.arange(todo.size), hit]
-            ptr[todo] = np.where(found, pos[np.arange(todo.size), hit], pos[:, -1])
+            width = 2 if grow == 2 else min(grow, N, max(1, _STATE_CELLS // todo.size))
+            p = ptr[todo]
+            # entry k of every window in row k, so each elementwise pass runs
+            # along the rows still unresolved. A free row always has such a
+            # partner before its row's end, so the entries a window reads
+            # past that end are never taken; "clip" keeps the last row's
+            # inside the array
+            t = order.take(p + steps[:width], mode="clip") + base_of[todo]
+            ok = free[t] & (block[t] != block[todo])
+            # each pointer moves to its window's first usable entry, or to
+            # the window's last entry if none is usable
+            if width <= 2:
+                found = ok[0] | ok[-1]
+                p += np.where(ok[0], 1, width)
+            else:
+                hit = ok.argmax(axis=0)
+                found = ok[hit, np.arange(todo.size)]
+                p += np.where(found, hit + 1, width)
+            ptr[todo] = p
             todo, grow = todo[~found], grow * 4
-        tgt[cells] = order[ptr[cells]]
-        top.reshape(-1)[at[cells]] = np.abs(signed[row_start[cells] + tgt[cells]])
+        col = order[ptr[cells]]
+        tgt[cells] = base_of[cells] + col
+        top.reshape(-1)[at[cells]] = np.abs(signed[row_start[cells] + col])
 
-    def working_row(f):
-        """Row f of each replicate's working matrix, in pseudo order."""
-        w = np.abs(signed[(perms[reps, f] * N)[:, None] + perms]).reshape(B, K, n_C)
-        w += closed
+    def working_row(f, side):
+        """Row f of each replicate's working matrix, in pseudo order,
+        written into one side of ``pair``."""
+        w = pair[:, :, side]
+        entries = np.abs(signed[(perms[reps, f] * N)[:, None] + perms])
+        np.add(entries.reshape(B, K, n_C), closed, out=w)
         w[reps, f // n_C] = -np.inf
         return w
 
@@ -169,21 +204,20 @@ def _greedy(G: Crcm, perms: np.ndarray):
         # and that row's first maximum: the working matrix is symmetric, so
         # this is its first maximum in row-major order and fi < fj
         fi = top.argmax(axis=1)
-        row = working_row(fi)
-        fj = row.reshape(B, N).argmax(axis=1)
-        col = working_row(fj)  # row fj equals column fj by symmetry
-        # per run: the member best correlated with either anchor member,
-        # the column side winning ties
-        a, b = col.argmax(axis=2), row.argmax(axis=2)
-        pick = np.where(col.max(axis=2) >= row.max(axis=2), a, b)
-        slots = runs * n_C + pick  # pseudo labels of the members
-        taken = np.take_along_axis(perms, slots, 1)
+        fj = working_row(fi, 1).reshape(B, N).argmax(axis=1)
+        working_row(fj, 0)  # row fj equals column fj by symmetry
+        # per run: the member best correlated with either anchor member, by
+        # one first-index argmax over column then row, so the column side
+        # wins ties
+        pick = pair.reshape(B, K, 2 * n_C).argmax(axis=2) % n_C
+        slots = offset + runs * n_C + pick  # the members' cells in a B x N array
+        taken = perms.reshape(-1)[slots]
         members[:, s], anchor_run[:, s] = taken, fi // n_C
-        used[(taken + offset).reshape(-1)] = True
-        top[reps[:, None], slots] = -np.inf
-        closed[reps[:, None], runs, pick] = -np.inf
+        free[taken + offset] = False
+        top.reshape(-1)[slots] = -np.inf
+        closed.reshape(-1)[slots] = -np.inf
         if s + 1 < n_C:
-            advance(np.flatnonzero(used[base_of + tgt] & ~used))
+            advance(np.flatnonzero(free & ~free[tgt]))
     return members, anchor_run
 
 

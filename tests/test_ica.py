@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from raicarn.errors import (
+    DegenerateDataError,
     NonFiniteError,
     RaggedRunsError,
     RankDeficientError,
@@ -232,6 +233,14 @@ class TestStackGroup:
     def test_rejects(self, bad, error):
         with pytest.raises(error):
             stack_group([np.ones((2, 10)), bad])
+
+    @pytest.mark.parametrize("bad", [np.ones(5), np.ones((2, 2, 5)), np.float64(1.0)])
+    def test_rejects_a_dataset_that_is_not_a_matrix(self, bad):
+        # checked before any dataset's location count is read
+        with pytest.raises(DegenerateDataError):
+            stack_group([bad])
+        with pytest.raises(DegenerateDataError):
+            stack_group([np.ones((2, 5)), bad])
 
 
 class TestRunSingleIca:

@@ -217,6 +217,28 @@ class TestBatchedNull:
         longer = null_distribution(None, G, NullConfig(R=110, seed=5))
         assert longer[: short.size].tobytes() == short.tobytes()
 
+    @pytest.mark.parametrize("state_cells", [1, 2**14])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(1, 5),
+        st.sampled_from(["random", "quantised", "sparse", "constant", "zero", "zero-run"]),
+    )
+    def test_pool_equals_reference_at_every_window_width(self, state_cells, seed, K, n_C, kind):
+        # the first pass of every pointer walk reads a window of 2 entries;
+        # a cap of 1 cell holds each later pass at 1, and a cap of 2**14
+        # lets it grow to 8, 32, ..., so the elementwise windows of 1 and 2
+        # and the argmax windows all take part. The reference runs at the
+        # default cap.
+        G = _tied_or_random(kind, K, n_C, np.random.default_rng(seed))
+        cfg = NullConfig(R=7, seed=seed % 1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raicar, "_STATE_CELLS", state_cells)
+            mp.setattr(null, "_STATE_CELLS", 3 * K * n_C)
+            pool = null_distribution(None, G, cfg)
+        assert pool.tobytes() == _reference_pool(G, cfg).tobytes()
+
     @pytest.mark.parametrize("state_cells", [2, 256, 2**14])
     def test_deep_walks_equal_reference(self, state_cells):
         # N=600 planted on 3 sources with little noise: each row's best

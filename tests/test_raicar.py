@@ -108,6 +108,25 @@ class TestComputeCrcm:
         assert not G.signed[6].any() and not G.signed[:, 6].any()
 
 
+    def test_underflowing_map_divides_as_the_where_form(self):
+        # a map of values near 1e-170 has squares that underflow, so its
+        # norm is 0 while its centred row is not all zeros; dividing by a
+        # norm of 0 replaced by 1.0 leaves that row as the where= form did
+        rng = np.random.default_rng(27)
+        maps = rng.standard_normal((3, 4, 500))
+        maps[1, 2] *= 1e-170
+        X = maps.reshape(12, 500).copy()
+        X -= X.mean(axis=1, keepdims=True)
+        Z = X.copy()
+        np.multiply(X, X, out=X)
+        norms = np.sqrt(np.add.reduce(X, axis=1))[:, None]
+        assert norms[6, 0] == 0.0 and Z[6].all()
+        np.divide(Z, norms, out=Z, where=norms > 0)
+        expected = np.clip(Z @ Z.T, -1.0, 1.0)
+        G = compute_crcm(RunCollection(maps))
+        assert G.signed.tobytes() == expected.tobytes()
+        assert G.signed[6].any()
+
 def _exhaustive_best(rc):
     """Brute-force optimum of the total reproducibility over all ways of
     aligning components across runs (run 0's order is fixed)."""
