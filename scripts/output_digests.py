@@ -11,7 +11,11 @@ seeds, it runs every (shape, seed) pair in turn and prints only one
 combined digest line per pair, labelled with the shape and seed.
 
 BLAS runs on one thread, because the thread count can change the order of
-a product's sums and with it the last bits of the CRCM.
+a product's sums and with it the last bits of the CRCM. Compare digests
+only between processes with the same BLAS thread count and the same numpy
+SIMD dispatch: with AVX-512 dispatch disabled (NPY_DISABLE_CPU_FEATURES),
+numpy's log and exp round differently, and mixture's fit and histogram
+files change.
 
 Usage: python3 scripts/output_digests.py --shape paper --seed 1
        python3 scripts/output_digests.py --shape fmri --seed 2248

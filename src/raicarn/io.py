@@ -382,14 +382,18 @@ def load_pipeline_config(path) -> dict:
     every section of ``config.SECTION_KEYS`` present (empty when the file
     leaves it out). An unknown section or key, a value of the wrong type or
     a non-text file raises ValueError naming the file; bounds are left to
-    the config class that the subcommand reading the section builds."""
-    parser = configparser.ConfigParser()
+    the config class that the subcommand reading the section builds.
+    Values are literal (no % interpolation), and a [DEFAULT] section,
+    which configparser would copy into every other section, is unknown."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive
     with _open(path, "r") as f:
         try:
             parser.read_file(f)
         except (configparser.Error, UnicodeDecodeError) as e:
             raise ValueError(f"{path}: {e}") from e
+    if parser.defaults():
+        raise ValueError(f"{path}: unknown section [{parser.default_section}]")
 
     out = {name: {} for name in SECTION_KEYS}
     for section in parser.sections():

@@ -9,16 +9,17 @@ two plain steps, then one extrapolation, kept only when it is at least as
 likely as the second step, so the recorded log-likelihood trace is
 non-decreasing (asserted to 1e-8 by the tests).
 
-The module needs numpy alone. Normal quantiles come from Wichura's AS241
-(1988, Appl. Statist. 37:477), vectorised from the PPND16 coefficients
-that CPython's statistics.NormalDist also evaluates; log-gammas from
-math.lgamma; digamma and trigamma from the recurrence up to an argument
-of at least 10, then their asymptotic (Bernoulli) series.
+The module needs numpy and the standard library. Normal quantiles come
+from statistics.NormalDist, which evaluates Wichura's AS241 (1988, Appl.
+Statist. 37:477); log-gammas from math.lgamma; digamma and trigamma from
+the recurrence up to an argument of at least 10, then their asymptotic
+(Bernoulli) series.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -43,66 +44,6 @@ _NEWTON_STEPS = 3  # Gamma-shape solve: a third step reaches rounding
 # no less than the start) after each rejected one. Unbounded, a slow drift
 # (EM rate near 1) asks for |alpha| near 1e3, and every such point is rejected.
 _STEP_FACTOR = 4.0
-
-# AS241 (PPND16) rational approximations, highest degree first: numerator
-# and denominator in r = 0.180625 - q^2 for |q| = |p - 0.5| <= 0.425, then
-# in r - 1.6 and r - 5 for r = sqrt(-log(min(p, 1 - p))) up to 5 and beyond.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e0, 3.6478483247632045605e0, 5.7694972214606914055e0,
-     4.6303378461565452959e0, 1.4234371107496835773e0),
-    (1.05075007164441684324e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-     2.0531916266377588219e0, 1.0),
-)
-_AS241_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
-     5.46378491116411436990e0, 6.65790464350110377720e0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0),
-)
-
-
-def _poly(coefs, r):
-    """The polynomial of coefficients ``coefs`` (highest degree first) at r,
-    by Horner's rule."""
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * r + c
-    return acc
-
-
-def _ndtri(p) -> np.ndarray:
-    """Standard normal quantiles of probabilities 0 < p < 1 by AS241, in
-    the order of operations of statistics.NormalDist.inv_cdf; relative
-    error near 1e-16 down to p = 1e-300."""
-    p = np.asarray(p, dtype=np.float64)
-    q = p - 0.5
-    x = np.empty_like(p)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num, den = _AS241_CENTRAL
-    x[central] = _poly(num, r) * qc / _poly(den, r)
-    tail = ~central
-    qt = q[tail]
-    r = np.sqrt(-np.log(np.where(qt <= 0.0, p[tail], 1.0 - p[tail])))
-    near, far = r - 1.6, r - 5.0
-    xt = np.where(r <= 5.0, _poly(_AS241_NEAR[0], near) / _poly(_AS241_NEAR[1], near),
-                  _poly(_AS241_FAR[0], far) / _poly(_AS241_FAR[1], far))
-    x[tail] = np.where(qt < 0.0, -xt, xt)
-    return x
-
 
 def _digamma(a: float) -> float:
     """psi(a) for a > 0: psi(a) = psi(a + 1) - 1/a up to a >= 10, then
@@ -134,6 +75,17 @@ def _trigamma(a: float) -> float:
 _NORMALIZE_CELLS = 2**16
 
 
+def _quantile_table(m) -> np.ndarray:
+    """Standard normal quantiles at the 2m - 1 probabilities (k/2 + 0.5)/m,
+    k = 0 .. 2m - 2, those of the half-integer ranks k/2 + 1 of m values.
+    (k/2 + 0.5)/m and (k + 1)/2m are the same double: each is one rounded
+    division of the same exact value. Filled one value at a time, so no
+    Python list of them is held."""
+    inv_cdf = NormalDist().inv_cdf
+    n = 2 * m
+    return np.fromiter((inv_cdf(j / n) for j in range(1, n)), np.float64, n - 1)
+
+
 def normalize_maps(maps) -> np.ndarray:
     """Row-wise empirical normalization of a K x n stack: each map's m
     values are mapped to standard normal quantiles at (rank - 0.5) / m over
@@ -155,7 +107,7 @@ def normalize_maps(maps) -> np.ndarray:
     if m < 2:
         raise DegenerateDataError("need at least 2 values per map")
     rows = v.reshape(-1, m)
-    table = _ndtri((np.arange(2 * m - 1) / 2 + 0.5) / m)
+    table = _quantile_table(m)
     out = np.empty_like(rows)
     step = max(1, _NORMALIZE_CELLS // m)
     for s in range(0, len(rows), step):

@@ -818,6 +818,12 @@ class TestRejections:
             return ["ica", str(sim / "run00.rnm"), str(sim / "gone.rnm"), "--q", "1", "--seed", "1"]
         if case == "ica without --q":
             return ["ica", str(sim / "run00.rnm"), "--seed", "1"]
+        if case == "config value with '%'":
+            bad.write_text("[ica]\nnonlinearity = tanh%\n")
+            return ["ica", str(sim / "run00.rnm"), "--q", "1", "--seed", "1", "--config", str(bad)]
+        if case == "config [DEFAULT] section":
+            bad.write_text("[DEFAULT]\nR = 5\n")
+            return ["raicarn", manifest, "--seed", "1", "--config", str(bad)]
         if case.startswith("negative seed to "):
             return {
                 "ica": ["ica", str(sim / "run00.rnm"), "--q", "1"],
@@ -846,6 +852,8 @@ class TestRejections:
         ("NaN in a run", 1, "run02.rnm: map 2 contains non-finite values"),
         ("second ica data file missing without --group", 2, "single-run mode takes exactly one data file"),
         ("ica without --q", 2, "--q is required"),
+        ("config value with '%'", 2, "nonlinearity must be one of"),
+        ("config [DEFAULT] section", 2, "bad.txt: unknown section [DEFAULT]"),
         ("negative seed to ica", 2, "seed must be >= 0, got -1"),
         ("negative seed to raicarn", 2, "seed must be >= 0, got -1"),
         ("negative seed to simulate", 2, "seed must be >= 0, got -1"),

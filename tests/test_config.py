@@ -51,6 +51,21 @@ tol = 1e-8
         with pytest.raises(ValueError, match="unknown section"):
             load_pipeline_config(_write(tmp_path, text))
 
+    def test_values_are_literal(self, tmp_path):
+        # no % interpolation: a '%' is part of the value, and the type or the
+        # config class judges it
+        cfg = load_pipeline_config(_write(tmp_path, "[ica]\nnonlinearity = tanh%\n"))
+        assert cfg["ica"] == {"nonlinearity": "tanh%"}
+        with pytest.raises(ValueError, match="bad value for ica.q"):
+            load_pipeline_config(_write(tmp_path, "[ica]\nq = %(x)s\n"))
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nR = 5\n", "[DEFAULT]\nR = 5\n[null]\n"])
+    def test_default_section_is_unknown(self, tmp_path, text):
+        # configparser would copy [DEFAULT]'s keys into every section, or
+        # drop them when no section follows
+        with pytest.raises(ValueError, match=r"unknown section \[DEFAULT\]"):
+            load_pipeline_config(_write(tmp_path, text))
+
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key"):
             load_pipeline_config(_write(tmp_path, "[ica]\nalpha = 3\n"))

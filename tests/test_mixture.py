@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ from raicarn.mixture import (
     MixtureConfig,
     MixtureFit,
     _digamma,
-    _ndtri,
+    _quantile_table,
     _trigamma,
     _weighted_gamma_mle,
     classify_voxels,
@@ -96,7 +101,8 @@ class TestNormalizeEmpirical:
             v = rng.standard_normal((K, m))
         if flat:
             v = v[0]
-        expected = _ndtri((stats.rankdata(v, method="average", axis=-1) - 0.5) / m)
+        p = (stats.rankdata(v, method="average", axis=-1) - 0.5) / m
+        expected = np.vectorize(NormalDist().inv_cdf, otypes=[np.float64])(p)
         out = normalize_maps(v)
         assert out.shape == v.shape and out.dtype == np.float64
         assert out.tobytes() == expected.tobytes()
@@ -126,12 +132,46 @@ class TestNormalizeEmpirical:
             assert out[k].tobytes() == normalize_maps(v[k]).tobytes()
 
 
-class TestSpecialFunctions:
-    """The numpy / math stand-ins for scipy.special against scipy.special."""
+_FRESH_NORMALIZE = """\
+import hashlib, sys
+pure = sys.argv[1] == "pure"
+if pure:
+    sys.modules["_statistics"] = None  # statistics falls back to its Python inv_cdf
+import numpy as np
+import statistics
+from raicarn.mixture import normalize_maps
+assert hasattr(statistics._normal_dist_inv_cdf, "__code__") or not pure
+k = np.arange(20000)
+v = np.vstack([np.random.default_rng(0).permutation(k), k // 2, (k + 1) // 2]).astype(np.float64)
+print(hashlib.sha256(normalize_maps(v).tobytes()).hexdigest())
+"""
 
-    # AS241 and scipy's cephes ndtri each err by a few ulps, so their
-    # difference is bounded by the sum. 1e-15, set first, failed at 1 of
-    # the 39999 points for m = 20000 (1.02e-15 at x = 1.086, where a
+
+def test_normalize_maps_bytes_do_not_follow_simd_or_the_statistics_accelerator():
+    # Rows of distinct values, of tie pairs and of tie pairs shifted by one
+    # read every entry of the 2m - 1 table. Through numpy's log, whose
+    # AVX-512 form rounds differently, two of its entries at m = 20000
+    # would follow numpy's SIMD dispatch. On a numpy build or CPU without
+    # AVX-512, disabling it changes nothing, and that run passes trivially.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def digest(mode, **extra_env):
+        env = {**os.environ, **extra_env, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", _FRESH_NORMALIZE, mode], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.split()[-1]
+
+    default = digest("default")
+    assert digest("default", NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") == default
+    assert digest("pure") == default
+
+
+class TestSpecialFunctions:
+    """The numpy and standard-library stand-ins for scipy.special against scipy.special."""
+
+    # NormalDist's AS241 and scipy's cephes ndtri each err by a few ulps,
+    # so their difference is bounded by the sum. 1e-15, set first, failed at
+    # 1 of the 39999 points for m = 20000 (1.02e-15 at x = 1.086, where a
     # 40-digit reference puts cephes 4 ulps off and AS241 1 ulp off).
     NDTRI_RTOL = 2e-15
     # log-gamma and digamma cross zero (at 1 and 2, and near 1.4616), where
@@ -144,15 +184,17 @@ class TestSpecialFunctions:
     @pytest.mark.parametrize("m", [2, 3, 600, 2000, 20_000])
     def test_ndtri_on_the_normalize_maps_table(self, m):
         p = (np.arange(2 * m - 1) / 2 + 0.5) / m
-        np.testing.assert_allclose(_ndtri(p), special.ndtri(p), rtol=self.NDTRI_RTOL, atol=0)
+        np.testing.assert_allclose(_quantile_table(m), special.ndtri(p), rtol=self.NDTRI_RTOL, atol=0)
 
     def test_ndtri_in_the_tails(self):
-        low = 10.0 ** -np.arange(1, 301)
-        high = 1.0 - 10.0 ** -np.arange(1, 16)
-        p = np.concatenate([low, high, [0.5, 0.075, 0.925, 0.0746, 0.9254]])
-        x = _ndtri(p)
+        # a map of 200000 locations reaches p = 1 / 400000 = 2.5e-6 at both
+        # ends, the deepest tail of any map here; the table also crosses
+        # AS241's switch from its central to its tail branch at |p - 0.5| = 0.425
+        m = 200_000
+        p = (np.arange(2 * m - 1) / 2 + 0.5) / m
+        x = _quantile_table(m)
         np.testing.assert_allclose(x, special.ndtri(p), rtol=self.NDTRI_RTOL, atol=0)
-        assert x[299] == pytest.approx(-37.0471, abs=1e-4)  # p = 1e-300
+        assert p[0] == 2.5e-6 and x[0] == pytest.approx(-4.5648, abs=1e-4)
 
     @staticmethod
     def _points():
