@@ -4,7 +4,9 @@ Runs the three CLI commands for one shape and seed in a temporary
 directory, then prints one "digest  path" line per file written and a
 combined digest over those lines. The restarts shape instead writes one
 noisy mixture, runs ica on it once per restart and raicarn on the
-restarts, and digests the data and every file those commands write. Two
+restarts, and digests the data and every file those commands write. The
+group shape splits the restarts data into 4 row blocks, runs ica --group
+on them once, and digests the blocks and every file it writes. Two
 checkouts that print the same combined digest wrote the same bytes, so a
 change meant to keep the output bits is checked by one command on each. Given several shapes or
 seeds, it runs every (shape, seed) pair in turn and prints only one
@@ -21,6 +23,7 @@ Usage: python3 scripts/output_digests.py --shape paper --seed 1
        python3 scripts/output_digests.py --shape fmri --seed 2248
        python3 scripts/output_digests.py --shape null-wide --seed 1
        python3 scripts/output_digests.py --shape restarts --seed 1 2248
+       python3 scripts/output_digests.py --shape group --seed 1 2248
        python3 scripts/output_digests.py --shape paper null-wide fmri --seed 1 2248
        python3 scripts/output_digests.py --K 4 --nc 3 --planted 1 --n 300 --R 5
 """
@@ -52,6 +55,9 @@ SHAPES = {
 # (p, n, sources, q, restarts, R, sigma), the shape of the benchmark's
 # restarts workload; the flags above do not apply to it
 RESTARTS = (100, 10000, 8, 16, 10, 1000, 1.0)
+
+# row blocks that the group shape splits the restarts data into
+GROUP_BLOCKS = 4
 
 
 def _run(root, steps, dirs):
@@ -106,10 +112,28 @@ def restarts_digests(root, p, n, sources, q, restarts, R, sigma, seed):
     return _run(root, steps, ("inputs", *runs, report))
 
 
+def group_digests(root, p, n, sources, q, restarts, R, sigma, seed):
+    """{path under root: SHA-256} of the restarts data, split into 4 row
+    blocks written as separate datasets, and of every file that one
+    ``ica --group`` run on them writes, seeded as the first restart."""
+    inputs = os.path.join(root, "inputs")
+    os.makedirs(inputs)
+    S = synth.gen_sources(sources, n, "laplacian", seed)
+    Y, _, _ = synth.gen_mixture(S, p, sigma, seed + 1)
+    data = [os.path.join(inputs, f"data{i}.rnm") for i in range(GROUP_BLOCKS)]
+    for i, path in enumerate(data):
+        io.write_matrix(Y[i * p // GROUP_BLOCKS : (i + 1) * p // GROUP_BLOCKS], path)
+    out = os.path.join("out", "group")
+    steps = [["ica", *data, "--group", "--q", str(q), "--seed", str(seed * 1000),
+              "--out", os.path.join(root, out)]]
+    return _run(root, steps, ("inputs", out))
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--shape", nargs="+", choices=sorted([*SHAPES, "restarts"]), default=["paper"],
-                    help="benchmark shapes; the flags below override the sizes of all but restarts")
+    ap.add_argument("--shape", nargs="+", choices=sorted([*SHAPES, "restarts", "group"]), default=["paper"],
+                    help="benchmark shapes and group; the flags below override the sizes of all "
+                         "but restarts and group")
     for flag in ("K", "nc", "planted", "n", "R"):
         ap.add_argument(f"--{flag}", type=int)
     ap.add_argument("--seed", nargs="+", type=int, default=[1])
@@ -117,8 +141,8 @@ if __name__ == "__main__":
     pairs = [(shape, seed) for shape in args.shape for seed in args.seed]
     for shape, seed in pairs:
         with tempfile.TemporaryDirectory() as root:
-            if shape == "restarts":
-                found = restarts_digests(root, *RESTARTS, seed)
+            if shape in ("restarts", "group"):
+                found = (restarts_digests if shape == "restarts" else group_digests)(root, *RESTARTS, seed)
             else:
                 sizes = [given if given is not None else default
                          for given, default in zip((args.K, args.nc, args.planted, args.n, args.R),

@@ -14,7 +14,10 @@ import numpy as np
 from . import grouping, io, synth
 from .config import NONLINEARITIES, SECTION_KEYS, IcaConfig, MixtureConfig, NullConfig
 from .errors import DegenerateDataError, DomainError, RaicarnError, ShapeMismatchError
-from .ica import residual_sd, run_single_ica, stack_group, z_scale
+from .ica import _center, _fit, residual_sd, z_scale
+# not called here: run_single_ica fits a copy, which the ica command does
+# without; bench/run.py wraps the fit's public name in this namespace
+from .ica import run_single_ica  # noqa: F401
 from .null import run_raicar_n
 
 EXIT_OK = 0
@@ -143,17 +146,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ica(args) -> int:
+    """Decompose one data file, or with --group the stack of several whose
+    rows are each centred; write the maps (z-scaled by the residual's
+    standard deviation unless --raw), the mixing matrix, the mean and a
+    summary. One copy of the data is held: the file, or every file's header
+    and then each payload, is read into one array, which the fit centres in
+    place and residual_sd reads centred."""
     settings = _settings(args, "ica")
     if "q" not in settings:
         raise UsageError("model order --q is required (flag or config)")
     cfg = IcaConfig(**settings, seed=args.seed)
     if not args.group and len(args.data) != 1:
         raise UsageError("single-run mode takes exactly one data file (use --group)")
-    # the datasets are dropped once stacked, so the stack is the one copy
-    # held through the fit and residual_sd
-    Y = (stack_group([io.read_matrix(p) for p in args.data]) if args.group
-         else io.read_matrix(args.data[0]))
-    model = run_single_ica(Y, cfg)
+    # centring a dataset centres each of its rows, so the stack read and
+    # centred by rows is stack_group's, to the bit
+    if args.group:
+        Y = io.read_stack(args.data)
+        _center(Y, Y)
+    else:
+        Y = io.read_matrix(args.data[0])
+    model = _fit(Y, cfg)
     out = _outdir(args)
     maps = model.S if args.raw else z_scale(model.S, residual_sd(Y, model))
     io.write_matrix(maps, os.path.join(out, "components.rnm"))
@@ -231,6 +243,7 @@ def cmd_mixture(args) -> int:
         del maps
         fitted.append((rank, *mixture.group_tstat(normalized)))
         del normalized
+    mixture._quantile_table.cache_clear()  # built once for all the components
     out = _outdir(args)
     n_degenerate = 0
     for rank, t_map, degenerate in fitted:

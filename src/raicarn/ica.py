@@ -1,6 +1,12 @@
 """Noisy linear-mixture estimation: centering, PCA reduction with noise
 variance, whitening, symmetric fixed-point rotation search, least-squares
 source recovery, and temporal-concatenation group decomposition.
+
+A fit holds one p x n copy of the data beside arrays of q x n. It centres
+the array it is given in place: run_single_ica and run_group_ica give it a
+copy or a stack of their own, so their callers' arrays are left as they
+are, and the ica command gives it the array it read. residual_sd reads the
+centred data and forms the residual a block of columns at a time.
 """
 
 from dataclasses import dataclass
@@ -20,6 +26,22 @@ from .types import IcaModel
 # iterations the contrast may go without beating its best before the
 # fixed-point search stops on a plateau
 _PLATEAU = 20
+
+# cells of the boolean mask that the finiteness check forms at a time
+_CHECK_CELLS = 2**16
+
+# residual_sd forms the product A S over blocks of columns. A block has the
+# bits of the same columns of the whole product only if BLAS computes them
+# alike, and OpenBLAS rounds a product's last (n mod 16) columns otherwise in
+# a product of at most 10^6 multiply-adds (its small-matrix kernel, on
+# AVX-512 CPUs) or of at most one cache block of columns (192 there). So a
+# block spans a multiple of _RESIDUAL_COLUMNS columns and at least 2^20
+# multiply-adds, and the last block takes the remainder with it. 1024
+# columns keep the bits too; 2048 was chosen by the peak RSS of a process
+# that runs ica repeatedly at the benchmark's restarts shape, where glibc
+# trimmed the freed heap after each ica with blocks of 2048 and 4096 columns
+# but not with 1024 or 3072.
+_RESIDUAL_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -56,13 +78,25 @@ def _as_matrix(Y) -> np.ndarray:
     return Y
 
 
-def center(Y):
-    """Split off row means: returns (mu, Y - mu)."""
+def _center(Y, out) -> np.ndarray:
+    """Write Y - mu into out, which may be Y itself, and return mu, the row
+    means of Y. Y is checked to be a finite matrix first, over blocks of
+    rows of at most _CHECK_CELLS cells, so no p x n mask is formed."""
     Y = _as_matrix(Y)
-    if not np.isfinite(Y).all():
-        raise NonFiniteError("data matrix contains non-finite values")
+    step = max(1, _CHECK_CELLS // Y.shape[1])
+    for lo in range(0, Y.shape[0], step):
+        if not np.isfinite(Y[lo : lo + step]).all():
+            raise NonFiniteError("data matrix contains non-finite values")
     mu = Y.mean(axis=1)
-    return mu, Y - mu[:, None]
+    np.subtract(Y, mu[:, None], out=out)
+    return mu
+
+
+def center(Y):
+    """Split off row means: returns (mu, Y - mu); Y is left as it is."""
+    Y = _as_matrix(Y)
+    Yc = np.empty_like(Y)
+    return _center(Y, Yc), Yc
 
 
 def pca_reduce(Yc, q: int) -> PcaReduction:
@@ -167,27 +201,35 @@ def z_scale(S, residual_sd) -> np.ndarray:
     return np.asarray(S, dtype=np.float64) / sd[None, :]
 
 
-def residual_sd(Y, model: IcaModel) -> np.ndarray:
-    """Per-location standard deviation of Y - mu - A S (unbiased).
+def residual_sd(Yc, model: IcaModel) -> np.ndarray:
+    """Per-location standard deviation (unbiased) of Yc - A S, where Yc is
+    the data with model.mu taken off its rows: the array that the ica
+    command's fit centred in place, or center(Y)[1].
 
-    Holds one p x n array beside Y: the product A S, overwritten row by
-    row with the residual and then with its squared deviations. The sums
-    run in the order numpy's std(axis=0, ddof=1) takes on a C-ordered
-    residual, so the result has those bits for every memory order of Y."""
-    Y = np.asarray(Y, dtype=np.float64)
-    p, n = model.A.shape[0], model.S.shape[1]
-    if Y.shape != (p, n):
-        raise ShapeMismatchError(f"data of shape {Y.shape} for a model of {p} x {n}")
-    R = model.A @ model.S
-    buf = np.empty(n)
-    for y, m, row in zip(Y, model.mu, R):
-        np.subtract(y, m, out=buf)
-        np.subtract(buf, row, out=row)
-    mean = np.add.reduce(R, axis=0, keepdims=True)
-    mean /= p
-    R -= mean
-    R *= R
-    var = np.add.reduce(R, axis=0) / (p - 1)
+    The residual is formed over blocks of columns (see _RESIDUAL_COLUMNS):
+    each block A @ S[:, lo:hi] is overwritten with the residual and then
+    with its squared deviations, so no p x n array is held beside Yc. The
+    sums run in the order numpy's std(axis=0, ddof=1) takes on a C-ordered
+    residual, so the result has those bits for every memory order of Yc."""
+    Yc = np.asarray(Yc, dtype=np.float64)
+    p, q = model.A.shape
+    n = model.S.shape[1]
+    if Yc.shape != (p, n):
+        raise ShapeMismatchError(f"data of shape {Yc.shape} for a model of {p} x {n}")
+    # the fewest whole _RESIDUAL_COLUMNS that hold 2^20 multiply-adds
+    width = _RESIDUAL_COLUMNS * -(-(2**20) // (_RESIDUAL_COLUMNS * p * q))
+    var = np.empty(n)
+    lo = 0
+    for hi in [*range(width, n - width + 1, width), n]:
+        R = model.A @ model.S[:, lo:hi]
+        np.subtract(Yc[:, lo:hi], R, out=R)
+        mean = np.add.reduce(R, axis=0, keepdims=True)
+        mean /= p
+        R -= mean
+        R *= R
+        np.add.reduce(R, axis=0, out=var[lo:hi])
+        lo = hi
+    var /= p - 1
     return np.sqrt(var, out=var)
 
 
@@ -195,14 +237,22 @@ def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
     """Center, reduce, whiten, rotate; maps the mixing matrix back to
     sensor coordinates so that Y ~ mu + A S + noise. S is the least-squares
     estimate (A^T A)^-1 A^T (Y - mu): A = basis sqrt(lambda) O^T makes
-    (A^T A)^-1 A^T = O whitener."""
-    Y = np.asarray(Y, dtype=np.float64)
+    (A^T A)^-1 A^T = O whitener. Y is left as it is: the fit centres a
+    copy."""
+    return _fit(np.array(Y, dtype=np.float64), cfg)
+
+
+def _fit(Y, cfg: IcaConfig) -> IcaModel:
+    """run_single_ica on a float64 array that it centres in place, so one
+    p x n copy of the data is held: the ica command hands over the array it
+    read and takes the residual from it centred. Y - mu and Y -= mu give
+    the same bits, so the model is run_single_ica's."""
     p, n = Y.shape
     if not cfg.q < min(p, n):
         raise RankDeficientError(f"need q < min(p, n) = {min(p, n)}, got q={cfg.q}")
-    mu, Yc = center(Y)
-    red = pca_reduce(Yc, cfg.q)
-    Yw = red.whitener @ Yc
+    mu = _center(Y, Y)
+    red = pca_reduce(Y, cfg.q)
+    Yw = red.whitener @ Y
     res = fastica(Yw, cfg)
     A = red.basis * np.sqrt(red.eigenvalues[: cfg.q]) @ res.O.T
     return IcaModel(mu=mu, A=A, S=res.S, sigma2=red.sigma2,
@@ -214,8 +264,7 @@ def stack_group(datasets) -> np.ndarray:
     a group decomposition runs on and is scored against.
 
     The stack is allocated once and each dataset's centred rows are written
-    into it in turn, so beside the datasets only the stack and one centred
-    dataset are held."""
+    straight into it, so beside the datasets only the stack is held."""
     mats = [_as_matrix(d) for d in datasets]  # shapes checked before n is read
     counts = [m.shape[1] for m in mats]
     if len(set(counts)) != 1:
@@ -223,12 +272,13 @@ def stack_group(datasets) -> np.ndarray:
     stack = np.empty((sum(m.shape[0] for m in mats), counts[0]))
     top = 0
     for m in mats:
-        stack[top : top + m.shape[0]] = center(m)[1]
+        _center(m, stack[top : top + m.shape[0]])
         top += m.shape[0]
     return stack
 
 
 def run_group_ica(datasets, cfg: IcaConfig) -> IcaModel:
     """Decompose the stack of the datasets (see stack_group); the returned
-    S holds the group component maps."""
-    return run_single_ica(stack_group(datasets), cfg)
+    S holds the group component maps. The fit centres the stack, its own
+    array, in place."""
+    return _fit(stack_group(datasets), cfg)

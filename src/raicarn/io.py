@@ -66,8 +66,23 @@ def write_matrix(matrix, path) -> None:
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file; error on bad magic or any size mismatch. The
     header is checked against the file size before any payload is read."""
-    rows, cols = _read_header(path)
-    return _read_rows(path, cols, 0, rows)
+    return read_stack([path])
+
+
+def read_stack(paths) -> np.ndarray:
+    """The matrix files at paths read one under another into one array.
+    Every header is checked before any payload is read: the magic and size
+    of each file, and one column count, the location count n, for all."""
+    shapes = [_read_header(p) for p in paths]
+    counts = [cols for _, cols in shapes]
+    if len(set(counts)) != 1:
+        raise ShapeMismatchError(f"all datasets must share the location count n, got {counts}")
+    stack = np.empty((sum(rows for rows, _ in shapes), counts[0]), dtype="<f8")
+    top = 0
+    for path, (rows, cols) in zip(paths, shapes):
+        _read_rows(path, cols, 0, rows, out=stack[top : top + rows])
+        top += rows
+    return stack.astype(np.float64, copy=False)
 
 
 def _read_header(path):
@@ -89,12 +104,14 @@ def _read_header(path):
     return rows, cols
 
 
-def _read_rows(path, cols, first, count, lo=0, hi=None) -> np.ndarray:
+def _read_rows(path, cols, first, count, lo=0, hi=None, out=None) -> np.ndarray:
     """Columns lo .. hi - 1 (all ``cols`` by default) of rows first ..
     first + count - 1 of a matrix file of ``cols`` columns, as a float64
-    (count, hi - lo) array."""
+    (count, hi - lo) array: ``out``, a C-ordered little-endian array of that
+    shape, if it is given."""
     hi = cols if hi is None else hi
-    out = np.empty((count, hi - lo), dtype="<f8")
+    if out is None:
+        out = np.empty((count, hi - lo), dtype="<f8")
     # whole rows are one stretch of the file; a column range is one per row
     stretches = [out.reshape(-1)] if hi - lo == cols else out
     with _open(path, "rb") as f:

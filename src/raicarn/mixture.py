@@ -16,6 +16,7 @@ the recurrence up to an argument of at least 10, then their asymptotic
 (Bernoulli) series.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -75,15 +76,20 @@ def _trigamma(a: float) -> float:
 _NORMALIZE_CELLS = 2**16
 
 
+@functools.lru_cache(maxsize=1)
 def _quantile_table(m) -> np.ndarray:
     """Standard normal quantiles at the 2m - 1 probabilities (k/2 + 0.5)/m,
     k = 0 .. 2m - 2, those of the half-integer ranks k/2 + 1 of m values.
     (k/2 + 0.5)/m and (k + 1)/2m are the same double: each is one rounded
     division of the same exact value. Filled one value at a time, so no
-    Python list of them is held."""
+    Python list of them is held. The table of the last m is kept, read-only,
+    so the components of one mixture command, which share m, build it once;
+    the command clears it when done."""
     inv_cdf = NormalDist().inv_cdf
     n = 2 * m
-    return np.fromiter((inv_cdf(j / n) for j in range(1, n)), np.float64, n - 1)
+    table = np.fromiter((inv_cdf(j / n) for j in range(1, n)), np.float64, n - 1)
+    table.setflags(write=False)
+    return table
 
 
 def normalize_maps(maps) -> np.ndarray:

@@ -164,6 +164,33 @@ class TestIca:
         rc = main(["ica", str(tmp_path / "gone.rnm"), "--q", "2", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("fault, says", [
+        ("another location count", "location count n, got [1500, 1500, 1400]"),
+        ("bad magic", "bad magic"),
+        ("a byte short", "expected 120012 bytes for 10x1500, got 120011"),
+    ])
+    def test_group_headers_are_checked_before_any_payload_is_read(self, tmp_path, capsys, monkeypatch, fault, says):
+        # the first dataset's NaN would be found on reading it, so the
+        # error names the last file's header only if every header is
+        # checked first; no payload is read at all
+        first = io.read_matrix(_ica_data(tmp_path, seed=2))
+        first[4, 7] = np.nan
+        _write_unchecked(first, tmp_path / "first.rnm")
+        last = _ica_data(tmp_path, seed=4, n=1400 if fault == "another location count" else 1500)
+        if fault == "bad magic":
+            last.write_bytes(b"RNM0" + last.read_bytes()[4:])
+        elif fault == "a byte short":
+            last.write_bytes(last.read_bytes()[:-1])
+        monkeypatch.setattr(io, "_read_rows", lambda *a, **k: pytest.fail("a payload was read"))
+        out = tmp_path / "gica"
+        rc = main(["ica", str(tmp_path / "first.rnm"), str(_ica_data(tmp_path, seed=3)), str(last),
+                   "--group", "--q", "3", "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err and "non-finite" not in err
+
     @pytest.mark.parametrize("group", [[], ["--group"]])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_data_is_runtime_error(self, tmp_path, capsys, group, value):
@@ -388,6 +415,23 @@ class TestMixtureCommand:
         assert (out / "comp01_fit.txt").exists()
         labels = io.read_matrix(out / "comp01_labels.rnm")
         assert set(np.unique(labels)) <= {-1.0, 0.0, 1.0}
+
+    def test_quantile_table_is_built_once_per_command(self, tmp_path, monkeypatch):
+        # the significant components' maps share the location count n, and
+        # so the table of normal quantiles that normalize_maps looks up
+        from statistics import NormalDist
+
+        from raicarn import mixture
+
+        manifest, report = self._analysis(tmp_path)
+        assert int(io.read_report(report).significant.sum()) >= 2
+        built = []
+        monkeypatch.setattr(mixture, "NormalDist", lambda: built.append(1) or NormalDist())
+        mixture._quantile_table.cache_clear()
+        rc = main(["mixture", "--report", report, "--manifest", manifest, "--out", str(tmp_path / "mix")])
+        assert rc == 0
+        assert len(built) == 1
+        assert mixture._quantile_table.cache_info().currsize == 0  # not kept past the command
 
     @pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--tol", "-1"], ["--tol", "nan"]])
     def test_bad_stopping_rule_is_usage_error(self, tmp_path, flags):
@@ -725,12 +769,14 @@ def test_mixture_holds_one_component_at_a_time(tmp_path):
 
 
 @pytest.mark.parametrize("group", [False, True], ids=["single", "group"])
-def test_ica_holds_two_copies_of_its_data(tmp_path, group):
+def test_ica_holds_one_copy_of_its_data(tmp_path, group):
     # 64 rows of 62500 locations are 32 MB, read as one matrix or as four
-    # datasets of 16 rows. With the data beside its centred copy in the fit
-    # and beside A S in residual_sd, ica raised the peak by 77 MB; with a
-    # third copy in residual_sd, by 107 MB, and in group mode, with the
-    # datasets also held beside their stack, by 138 MB.
+    # datasets of 16 rows. Centred in the array it was read into, with the
+    # residual formed a block of columns at a time, ica raised the peak by
+    # 48 MB, and by the same with --group. With the data beside its centred
+    # copy in the fit and beside A S in residual_sd, it raised it by 77 MB;
+    # with a third copy in residual_sd, by 107 MB, and in group mode, with
+    # the datasets also held beside their stack, by 138 MB.
     S = gen_sources(4, 62_500, "laplacian", seed=40)
     parts = 4 if group else 1
     paths = []
@@ -742,7 +788,7 @@ def test_ica_holds_two_copies_of_its_data(tmp_path, group):
     grown_kb = _peak_growth_kb("ica", *paths, *(["--group"] if group else []), "--q", "4",
                                "--max-iters", "10", "--seed", "1", "--out", str(tmp_path / "ica"))
     data = 64 * 62_500 * 8
-    assert grown_kb < 3 * data / 1024
+    assert grown_kb < 2 * data / 1024
 
 
 # report edits: (pattern, replacement) applied once to report.txt

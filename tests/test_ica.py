@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from raicarn import ica as ica_module
 from raicarn.errors import (
     DegenerateDataError,
     NonFiniteError,
@@ -178,37 +179,59 @@ class TestZScale:
 
 
 class TestResidualSd:
+    """residual_sd takes the data centred, as the ica command's fit leaves
+    the array it read; the reference is numpy's std of Y - mu - A S."""
+
     @staticmethod
     def _model_and_data(p, n, q, seed):
+        """A model, its data Y, and Y centred by the model's mean."""
         rng = np.random.default_rng(seed)
         S = rng.standard_normal((q, n))
         S -= S.mean(axis=1, keepdims=True)
         model = IcaModel(mu=rng.standard_normal(p), A=rng.standard_normal((p, q)), S=S, sigma2=0.0)
         Y = model.mu[:, None] + model.A @ S + 0.3 * rng.standard_normal((p, n))
-        return model, Y
+        return model, Y, Y - model.mu[:, None]
+
+    @staticmethod
+    def _reference(model, Y):
+        return (Y - model.mu[:, None] - model.A @ model.S).std(axis=0, ddof=1)
 
     @pytest.mark.parametrize("p, n, q", [(2, 7, 1), (3, 1001, 2), (9, 1500, 3), (30, 2001, 4), (100, 10000, 16)])
     def test_equals_the_std_of_the_residual(self, p, n, q):
-        model, Y = self._model_and_data(p, n, q, seed=p + n)
-        reference = (Y - model.mu[:, None] - model.A @ model.S).std(axis=0, ddof=1)
-        assert residual_sd(Y, model).tobytes() == reference.tobytes()
+        model, Y, Yc = self._model_and_data(p, n, q, seed=p + n)
+        assert residual_sd(Yc, model).tobytes() == self._reference(model, Y).tobytes()
 
     @pytest.mark.parametrize("p, n, q", [(2, 7, 1), (30, 2001, 4)])
     def test_memory_order_of_the_data_does_not_change_the_bits(self, p, n, q):
         # numpy's std of a Fortran-ordered residual sums each column
         # pairwise, so its last bits differ; the C-ordered residual is the
-        # reference for Fortran-ordered and strided Y alike
-        model, Y = self._model_and_data(p, n, q, seed=p + n)
-        reference = (Y - model.mu[:, None] - model.A @ model.S).std(axis=0, ddof=1)
-        assert residual_sd(np.asfortranarray(Y), model).tobytes() == reference.tobytes()
-        assert residual_sd(np.repeat(Y, 2, axis=1)[:, ::2], model).tobytes() == reference.tobytes()
+        # reference for Fortran-ordered and strided data alike
+        model, Y, Yc = self._model_and_data(p, n, q, seed=p + n)
+        reference = self._reference(model, Y)
+        assert residual_sd(np.asfortranarray(Yc), model).tobytes() == reference.tobytes()
+        assert residual_sd(np.repeat(Yc, 2, axis=1)[:, ::2], model).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p, n, q", [
+        (64, 3 * 2048 + 1001, 16),  # blocks of 2048 columns, the last 3049
+        (200, 2 * 2048 + 1, 40),  # a last block of 2049: one column past the 16-column tiles
+        (100, 10000, 16),  # the benchmark's restarts shape: 3 blocks of 2048, then 3856
+        (9, 2 * 38912 + 4103, 3),  # 27 multiply-adds a column: blocks of 19 x 2048
+        (2, 2 * 2**19 + 7, 1),  # 2 multiply-adds a column: blocks of 2^19 columns
+    ])
+    def test_blocks_of_columns_give_the_bits_of_the_whole_residual(self, order, p, n, q):
+        model, Y, Yc = self._model_and_data(p, n, q, seed=n)
+        width = ica_module._RESIDUAL_COLUMNS * -(-(2**20) // (ica_module._RESIDUAL_COLUMNS * p * q))
+        assert 2 * width <= n and n % width  # several blocks and a remainder
+        got = residual_sd(np.asarray(Yc, order=order), model)
+        assert got.tobytes() == self._reference(model, Y).tobytes()
 
     @pytest.mark.parametrize("reshape", ["a row more", "a row less", "a location less"])
     def test_rejects_data_of_another_shape(self, reshape):
-        model, Y = self._model_and_data(5, 300, 2, seed=27)
-        Y = {"a row more": np.vstack([Y, Y[:1]]), "a row less": Y[:-1], "a location less": Y[:, :-1]}[reshape]
+        model, _, Yc = self._model_and_data(5, 300, 2, seed=27)
+        Yc = {"a row more": np.vstack([Yc, Yc[:1]]), "a row less": Yc[:-1], "a location less": Yc[:, :-1]}[reshape]
         with pytest.raises(ShapeMismatchError):
-            residual_sd(Y, model)
+            residual_sd(Yc, model)
 
 
 class TestStackGroup:
@@ -313,6 +336,34 @@ class TestIcaModel:
         assert (model.stopped, model.converged) == ("tolerance", True)
         with pytest.raises(ValueError):
             IcaModel(mu=model.mu, A=model.A, S=model.S, sigma2=model.sigma2, stopped="converged")
+
+
+class TestCallersArraysAreLeftAsTheyAre:
+    """The fit centres a copy: library callers reuse their data after a fit."""
+
+    @staticmethod
+    def _data(order="C"):
+        S = gen_sources(2, 2000, "laplacian", seed=22)
+        Y, _, _ = gen_mixture(S, p=6, sigma=0.1, seed=23)
+        return np.asarray(Y, order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_run_single_ica(self, order):
+        Y = self._data(order)
+        before = Y.copy(order="K")
+        model = run_single_ica(Y, IcaConfig(q=2, seed=0))
+        assert Y.tobytes(order="A") == before.tobytes(order="A")
+        # the model is the one fitted on a fresh copy of the same data
+        again = run_single_ica(before, IcaConfig(q=2, seed=0))
+        assert model.S.tobytes() == again.S.tobytes() and model.mu.tobytes() == again.mu.tobytes()
+
+    def test_center_and_the_group_functions(self):
+        Y = self._data()
+        before = Y.copy()
+        center(Y)
+        stack_group([Y, Y])
+        run_group_ica([Y, Y], IcaConfig(q=2, seed=0))
+        assert Y.tobytes() == before.tobytes()
 
 
 class TestRunGroupIca:

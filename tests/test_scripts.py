@@ -63,3 +63,10 @@ def test_restarts_digests_cover_the_data_every_ica_output_and_the_report(monkeyp
             for name in ("components.rnm", "mean.rnm", "mixing.rnm", "model.txt")]
     assert list(found) == ["inputs/data.rnm", "inputs/manifest.txt", *runs,
                            "out/report/report.txt", "out/report/report.txt.null.rnm"]
+
+
+def test_group_digests_cover_every_block_and_every_ica_output(monkeypatch, tmp_path):
+    digests, _ = _digests_and_bench(monkeypatch)
+    found = digests.group_digests(str(tmp_path), 12, 600, 3, 4, 2, 10, 1.0, seed=1)
+    assert list(found) == [*(f"inputs/data{i}.rnm" for i in range(4)),
+                           *(f"out/group/{name}" for name in ("components.rnm", "mean.rnm", "mixing.rnm", "model.txt"))]
