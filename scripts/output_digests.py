@@ -5,8 +5,9 @@ directory, then prints one "digest  path" line per file written and a
 combined digest over those lines. The restarts shape instead writes one
 noisy mixture, runs ica on it once per restart and raicarn on the
 restarts, and digests the data and every file those commands write. The
-group shape splits the restarts data into 4 row blocks, runs ica --group
-on them once, and digests the blocks and every file it writes. Two
+group shape splits the restarts data into 4 row blocks, runs ica once on
+the 4 files, which it stacks as one matrix, and digests the blocks and
+every file it writes: the bytes of the first restart's files. Two
 checkouts that print the same combined digest wrote the same bytes, so a
 change meant to keep the output bits is checked by one command on each. Given several shapes or
 seeds, it runs every (shape, seed) pair in turn and prints only one
@@ -114,8 +115,8 @@ def restarts_digests(root, p, n, sources, q, restarts, R, sigma, seed):
 
 def group_digests(root, p, n, sources, q, restarts, R, sigma, seed):
     """{path under root: SHA-256} of the restarts data, split into 4 row
-    blocks written as separate datasets, and of every file that one
-    ``ica --group`` run on them writes, seeded as the first restart."""
+    blocks written as separate datasets, and of every file that one ica
+    run on them writes, seeded as the first restart."""
     inputs = os.path.join(root, "inputs")
     os.makedirs(inputs)
     S = synth.gen_sources(sources, n, "laplacian", seed)
@@ -124,7 +125,7 @@ def group_digests(root, p, n, sources, q, restarts, R, sigma, seed):
     for i, path in enumerate(data):
         io.write_matrix(Y[i * p // GROUP_BLOCKS : (i + 1) * p // GROUP_BLOCKS], path)
     out = os.path.join("out", "group")
-    steps = [["ica", *data, "--group", "--q", str(q), "--seed", str(seed * 1000),
+    steps = [["ica", *data, "--q", str(q), "--seed", str(seed * 1000),
               "--out", os.path.join(root, out)]]
     return _run(root, steps, ("inputs", out))
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import grouping, io, synth
 from .config import NONLINEARITIES, SECTION_KEYS, IcaConfig, MixtureConfig, NullConfig
 from .errors import DegenerateDataError, DomainError, RaicarnError, ShapeMismatchError
-from .ica import _center, _fit, residual_sd, z_scale
+from .ica import _fit, residual_sd, z_scale
 # not called here: run_single_ica fits a copy, which the ica command does
 # without; bench/run.py wraps the fit's public name in this namespace
 from .ica import run_single_ica  # noqa: F401
@@ -60,14 +60,13 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("ica", help="single or group decomposition of data matrices")
-    p.add_argument("data", nargs="+", help="input matrix file(s)")
+    p = sub.add_parser("ica", help="decomposition of data matrices stacked time-wise")
+    p.add_argument("data", nargs="+", help="input matrix file(s), stacked one under another")
     p.add_argument("--q", type=int, help="model order")
     p.add_argument("--nonlinearity", choices=NONLINEARITIES)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--group", action="store_true", help="stack inputs time-wise before decomposing")
     p.add_argument("--raw", action="store_true", help="emit raw component maps instead of z-scaled")
     p.add_argument("--config", help="pipeline config file supplying defaults")
     p.add_argument("--out", required=True)
@@ -146,25 +145,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ica(args) -> int:
-    """Decompose one data file, or with --group the stack of several whose
-    rows are each centred; write the maps (z-scaled by the residual's
-    standard deviation unless --raw), the mixing matrix, the mean and a
-    summary. One copy of the data is held: the file, or every file's header
-    and then each payload, is read into one array, which the fit centres in
-    place and residual_sd reads centred."""
+    """Decompose the data files stacked one under another (one file is a
+    stack of one); write the maps (z-scaled by the residual's standard
+    deviation unless --raw), the mixing matrix, the stack's row means and
+    a summary. One copy of the data is held: every file's header and then
+    each payload is read into one array, which the fit centres in place
+    and residual_sd reads centred."""
     settings = _settings(args, "ica")
     if "q" not in settings:
         raise UsageError("model order --q is required (flag or config)")
     cfg = IcaConfig(**settings, seed=args.seed)
-    if not args.group and len(args.data) != 1:
-        raise UsageError("single-run mode takes exactly one data file (use --group)")
-    # centring a dataset centres each of its rows, so the stack read and
-    # centred by rows is stack_group's, to the bit
-    if args.group:
-        Y = io.read_stack(args.data)
-        _center(Y, Y)
-    else:
-        Y = io.read_matrix(args.data[0])
+    Y = io.read_stack(args.data)
     model = _fit(Y, cfg)
     out = _outdir(args)
     maps = model.S if args.raw else z_scale(model.S, residual_sd(Y, model))

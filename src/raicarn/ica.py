@@ -2,11 +2,15 @@
 variance, whitening, symmetric fixed-point rotation search, least-squares
 source recovery, and temporal-concatenation group decomposition.
 
-A fit holds one p x n copy of the data beside arrays of q x n. It centres
-the array it is given in place: run_single_ica and run_group_ica give it a
-copy or a stack of their own, so their callers' arrays are left as they
-are, and the ica command gives it the array it read. residual_sd reads the
-centred data and forms the residual a block of columns at a time.
+Every fit runs on one path, _fit, which takes a C-ordered float64 stack of
+datasets and centres its rows once, in place, so one p x n copy of the
+data is held beside arrays of q x n. run_group_ica hands it the datasets
+stacked into an array of its own, and run_single_ica a group of one, so
+the callers' arrays are left as they are; the ica command hands it the
+files it read, stacked by io.read_stack. A matrix thus fits to the same
+bits whether it comes whole or in row blocks, in C or Fortran order.
+residual_sd reads the centred data and forms the residual a block of
+columns at a time.
 """
 
 from dataclasses import dataclass
@@ -237,16 +241,28 @@ def run_single_ica(Y, cfg: IcaConfig) -> IcaModel:
     """Center, reduce, whiten, rotate; maps the mixing matrix back to
     sensor coordinates so that Y ~ mu + A S + noise. S is the least-squares
     estimate (A^T A)^-1 A^T (Y - mu): A = basis sqrt(lambda) O^T makes
-    (A^T A)^-1 A^T = O whitener. Y is left as it is: the fit centres a
-    copy."""
-    return _fit(np.array(Y, dtype=np.float64), cfg)
+    (A^T A)^-1 A^T = O whitener. The fit is run_group_ica's on the group of
+    one, [Y], which it centres a C-ordered copy of."""
+    return run_group_ica([Y], cfg)
+
+
+def run_group_ica(datasets, cfg: IcaConfig) -> IcaModel:
+    """Decompose the datasets stacked time-wise (one under another); the
+    returned S holds the group component maps and mu the stack's row
+    means, so the stack ~ mu + A S. The stack is a C-ordered float64 array
+    of its own, which the fit centres in place."""
+    mats = [_as_matrix(d) for d in datasets]  # shapes checked before n is read
+    counts = [m.shape[1] for m in mats]
+    if len(set(counts)) != 1:
+        raise ShapeMismatchError(f"all datasets must share the location count n, got {counts}")
+    stack = np.empty((sum(m.shape[0] for m in mats), counts[0]))
+    return _fit(np.concatenate(mats, out=stack), cfg)
 
 
 def _fit(Y, cfg: IcaConfig) -> IcaModel:
-    """run_single_ica on a float64 array that it centres in place, so one
-    p x n copy of the data is held: the ica command hands over the array it
-    read and takes the residual from it centred. Y - mu and Y -= mu give
-    the same bits, so the model is run_single_ica's."""
+    """The fit of a C-ordered float64 stack Y, which it centres in place,
+    so one p x n copy of the data is held: the ica command hands over the
+    array it read and takes the residual from it centred."""
     p, n = Y.shape
     if not cfg.q < min(p, n):
         raise RankDeficientError(f"need q < min(p, n) = {min(p, n)}, got q={cfg.q}")
@@ -257,28 +273,3 @@ def _fit(Y, cfg: IcaConfig) -> IcaModel:
     A = red.basis * np.sqrt(red.eigenvalues[: cfg.q]) @ res.O.T
     return IcaModel(mu=mu, A=A, S=res.S, sigma2=red.sigma2,
                     stopped=res.stopped, n_iters=res.n_iters)
-
-
-def stack_group(datasets) -> np.ndarray:
-    """Center each dataset's rows and stack them time-wise: the matrix that
-    a group decomposition runs on and is scored against.
-
-    The stack is allocated once and each dataset's centred rows are written
-    straight into it, so beside the datasets only the stack is held."""
-    mats = [_as_matrix(d) for d in datasets]  # shapes checked before n is read
-    counts = [m.shape[1] for m in mats]
-    if len(set(counts)) != 1:
-        raise ShapeMismatchError(f"all datasets must share the location count n, got {counts}")
-    stack = np.empty((sum(m.shape[0] for m in mats), counts[0]))
-    top = 0
-    for m in mats:
-        _center(m, stack[top : top + m.shape[0]])
-        top += m.shape[0]
-    return stack
-
-
-def run_group_ica(datasets, cfg: IcaConfig) -> IcaModel:
-    """Decompose the stack of the datasets (see stack_group); the returned
-    S holds the group component maps. The fit centres the stack, its own
-    array, in place."""
-    return _fit(stack_group(datasets), cfg)

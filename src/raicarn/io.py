@@ -174,12 +174,16 @@ class RunFiles:
 
     paths: tuple
     n_C: int
-    n: int
-    mask: object  # boolean array over the stored map length, or None
+    cols: int  # the stored map length
+    locations: object  # ascending stored columns the mask keeps, or None for all
 
     @property
     def K(self) -> int:
         return len(self.paths)
+
+    @property
+    def n(self) -> int:
+        return self.cols if self.locations is None else len(self.locations)
 
     def run(self, r, lo=0, hi=None) -> np.ndarray:
         """The masked maps of zero-based run r at locations lo .. hi - 1
@@ -208,11 +212,11 @@ class RunFiles:
         if not 0 <= lo < hi <= self.n:
             raise ShapeMismatchError(f"no locations {lo} .. {hi - 1} in maps of length {self.n}")
         path = self.paths[run]
-        if self.mask is None:
-            maps = _read_rows(path, self.n, first, count, lo, hi)
+        if self.locations is None:
+            maps = _read_rows(path, self.cols, first, count, lo, hi)
         else:
-            at = np.flatnonzero(self.mask)[lo:hi]
-            covering = _read_rows(path, self.mask.shape[0], first, count, int(at[0]), int(at[-1]) + 1)
+            at = self.locations[lo:hi]
+            covering = _read_rows(path, self.cols, first, count, int(at[0]), int(at[-1]) + 1)
             # take, not an index: an index would lay the maps out column-major,
             # and a map's mean would then sum in another order than when read
             # from a RunCollection
@@ -230,24 +234,24 @@ def open_runs(manifest_path) -> RunFiles:
     run_paths, mask_path = read_manifest(manifest_path)
     mask = None
     if mask_path is not None:
-        m = read_matrix(mask_path)
-        if m.shape[0] != 1:
+        mask = read_matrix(mask_path)
+        if mask.shape[0] != 1:
             raise ShapeMismatchError(f"{mask_path}: mask must be a 1-row matrix")
-        if not np.isin(m, (0.0, 1.0)).all():
+        if not np.isin(mask, (0.0, 1.0)).all():
             raise IoFailureError(f"{mask_path}: mask values must be 0 or 1")
-        mask = m[0] == 1.0
     shape = None
     for p in run_paths:
         rows, cols = _read_header(p)
-        if mask is not None and cols != mask.shape[0]:
-            raise MaskLengthMismatchError(f"{p}: mask length {mask.shape[0]} vs map length {cols}")
+        if mask is not None and cols != mask.shape[1]:
+            raise MaskLengthMismatchError(f"{p}: mask length {mask.shape[1]} vs map length {cols}")
         if shape is None:
             shape = (rows, cols)
         elif (rows, cols) != shape:
             raise RaggedRunsError(f"{p}: all runs must share n_C and map length n")
-    n_C, n = shape[0], (shape[1] if mask is None else int(mask.sum()))
-    check_run_shape(len(run_paths), n_C, n)
-    return RunFiles(tuple(run_paths), n_C, n, mask)
+    # the index is built here, once, not on every read of a block
+    runs = RunFiles(tuple(run_paths), *shape, None if mask is None else np.flatnonzero(mask[0]))
+    check_run_shape(runs.K, runs.n_C, runs.n)
+    return runs
 
 
 def write_report(report: ReproducibilityReport, path) -> None:

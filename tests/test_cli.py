@@ -132,29 +132,23 @@ class TestIca:
         d1 = _ica_data(tmp_path, seed=2)
         d2 = _ica_data(tmp_path, seed=3)
         out = tmp_path / "gica"
-        rc = main(["ica", str(d1), str(d2), "--group", "--q", "3", "--seed", "1", "--out", str(out)])
+        rc = main(["ica", str(d1), str(d2), "--q", "3", "--seed", "1", "--out", str(out)])
         assert rc == 0
         assert io.read_matrix(out / "components.rnm").shape == (3, 1500)
         # z-scaled against the residual of the one centred stack the fit ran on
         assert hashlib.sha256((out / "components.rnm").read_bytes()).hexdigest() == (
-            "31bcca567eae78a047c614a46f2ac5a5b876df30ca4073dd6b7b1bf2a34643eb"
+            "43e8f7fc5cf0ff0790b6c5c1cbbc530cca9fe3636467f0055b81d47de02c4d08"
         )
 
     def test_group_mode_with_mismatched_n_is_runtime_error(self, tmp_path, capsys):
         d1 = _ica_data(tmp_path, seed=2)
         d2 = _ica_data(tmp_path, seed=3, n=1400)
         out = tmp_path / "gica"
-        rc = main(["ica", str(d1), str(d2), "--group", "--q", "3", "--seed", "1", "--out", str(out)])
+        rc = main(["ica", str(d1), str(d2), "--q", "3", "--seed", "1", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "location count n, got [1500, 1400]" in err
-
-    def test_two_files_without_group_is_usage_error(self, tmp_path):
-        d1 = _ica_data(tmp_path, seed=4)
-        d2 = _ica_data(tmp_path, seed=5)
-        rc = main(["ica", str(d1), str(d2), "--q", "3", "--seed", "1", "--out", str(tmp_path / "o")])
-        assert rc == 2
 
     def test_q_zero_is_usage_error(self, tmp_path):
         data = _ica_data(tmp_path, seed=6)
@@ -184,21 +178,23 @@ class TestIca:
         monkeypatch.setattr(io, "_read_rows", lambda *a, **k: pytest.fail("a payload was read"))
         out = tmp_path / "gica"
         rc = main(["ica", str(tmp_path / "first.rnm"), str(_ica_data(tmp_path, seed=3)), str(last),
-                   "--group", "--q", "3", "--seed", "1", "--out", str(out)])
+                   "--q", "3", "--seed", "1", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err and "non-finite" not in err
 
-    @pytest.mark.parametrize("group", [[], ["--group"]])
+    # the seeds of the datasets stacked above the bad one
+    @pytest.mark.parametrize("group", [[], [1]])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_data_is_runtime_error(self, tmp_path, capsys, group, value):
+        above = [str(_ica_data(tmp_path, seed=seed)) for seed in group]
         Y = io.read_matrix(_ica_data(tmp_path))
         Y[4, 7] = value
         _write_unchecked(Y, tmp_path / "bad.rnm")
         out = tmp_path / "o"
-        rc = main(["ica", str(tmp_path / "bad.rnm"), *group, "--q", "3", "--seed", "1", "--out", str(out)])
+        rc = main(["ica", *above, str(tmp_path / "bad.rnm"), "--q", "3", "--seed", "1", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
@@ -210,21 +206,34 @@ class TestIca:
         "single/mean.rnm": "c365ad63a624888b4ca3d9e2e4b893ce220489d92824d64452ae957a08ed5603",
         "single/mixing.rnm": "2008ee769e54b24580157a95d79a5d2993c0cd8cfb6a2b6b9e1d9acc42607c85",
         "single/model.txt": "72810d66a7cfd7be2fb1ac99ef4f99b428eb819152fa83da3ed39522edd3cc26",
-        "group/components.rnm": "31bcca567eae78a047c614a46f2ac5a5b876df30ca4073dd6b7b1bf2a34643eb",
-        "group/mean.rnm": "3e429a15a15442728f231c82e96da7c5bed77545485c3c4638653176d3585d10",
-        "group/mixing.rnm": "806804acf6451881c926966a833107dcc74749e5b4a1e4eb344ebf767e9bba61",
-        "group/model.txt": "8b520517b53136f887c5ed46b0343066db2a6b93b33fae1cbc4c11180036af49",
+        "group/components.rnm": "43e8f7fc5cf0ff0790b6c5c1cbbc530cca9fe3636467f0055b81d47de02c4d08",
+        "group/mean.rnm": "045374627f8975807f2bb0f044914cbccacbd09ad89d3c2f350a3f78a02957b1",
+        "group/mixing.rnm": "1c66bb6388bcad528afab11b69d10c9bdbf84f756b435d286cd78d225168ace8",
+        "group/model.txt": "a3fae3086e16bcf3a2c6d0f9a2e2b34c900b030038267c07b49bdfe3b25bd8f2",
     }
 
     @pytest.mark.parametrize("mode", ["single", "group"])
     def test_output_bytes_are_pinned(self, tmp_path, mode):
         data = [_ica_data(tmp_path)] if mode == "single" else [
-            _ica_data(tmp_path, seed=2), _ica_data(tmp_path, seed=3), "--group"]
+            _ica_data(tmp_path, seed=2), _ica_data(tmp_path, seed=3)]
         out = tmp_path / mode
         assert main(["ica", *map(str, data), "--q", "3", "--seed", "1", "--out", str(out)]) == 0
         written = {f"{mode}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in sorted(out.iterdir())}
         assert written == {k: v for k, v in self.DIGESTS.items() if k.startswith(mode + "/")}
+
+    def test_row_blocks_give_the_bytes_of_the_whole_file(self, tmp_path):
+        # several data files are one stack: the file cut into 4 row blocks
+        # fits and writes as the file itself, its mean included
+        whole = _ica_data(tmp_path, seed=8, p=12)
+        Y = io.read_matrix(whole)
+        blocks = [tmp_path / f"block{i}.rnm" for i in range(4)]
+        for i, block in enumerate(blocks):
+            io.write_matrix(Y[3 * i : 3 * i + 3], block)
+        for name, data in (("whole", [whole]), ("blocks", blocks)):
+            assert main(["ica", *map(str, data), "--q", "3", "--seed", "1", "--out", str(tmp_path / name)]) == 0
+        for f in sorted((tmp_path / "whole").iterdir()):
+            assert _same_bytes(f, tmp_path / "blocks" / f.name), f.name
 
     def test_config_supplies_defaults(self, tmp_path):
         data = _ica_data(tmp_path, seed=7)
@@ -773,10 +782,10 @@ def test_ica_holds_one_copy_of_its_data(tmp_path, group):
     # 64 rows of 62500 locations are 32 MB, read as one matrix or as four
     # datasets of 16 rows. Centred in the array it was read into, with the
     # residual formed a block of columns at a time, ica raised the peak by
-    # 48 MB, and by the same with --group. With the data beside its centred
-    # copy in the fit and beside A S in residual_sd, it raised it by 77 MB;
-    # with a third copy in residual_sd, by 107 MB, and in group mode, with
-    # the datasets also held beside their stack, by 138 MB.
+    # 48 MB, and by the same over four datasets. With the data beside its
+    # centred copy in the fit and beside A S in residual_sd, it raised it by
+    # 77 MB; with a third copy in residual_sd, by 107 MB, and over four
+    # datasets also held beside their stack, by 138 MB.
     S = gen_sources(4, 62_500, "laplacian", seed=40)
     parts = 4 if group else 1
     paths = []
@@ -785,7 +794,7 @@ def test_ica_holds_one_copy_of_its_data(tmp_path, group):
         paths.append(str(tmp_path / f"data{i}.rnm"))
         io.write_matrix(Y, paths[-1])
     del Y
-    grown_kb = _peak_growth_kb("ica", *paths, *(["--group"] if group else []), "--q", "4",
+    grown_kb = _peak_growth_kb("ica", *paths, "--q", "4",
                                "--max-iters", "10", "--seed", "1", "--out", str(tmp_path / "ica"))
     data = 64 * 62_500 * 8
     assert grown_kb < 2 * data / 1024
@@ -860,7 +869,7 @@ class TestRejections:
             maps[1, 17] = np.nan
             _write_unchecked(maps, sim / "run02.rnm")
             return ["raicarn", manifest, "--R", "5", "--seed", "1"]
-        if case == "second ica data file missing without --group":
+        if case == "second ica data file missing":
             return ["ica", str(sim / "run00.rnm"), str(sim / "gone.rnm"), "--q", "1", "--seed", "1"]
         if case == "ica without --q":
             return ["ica", str(sim / "run00.rnm"), "--seed", "1"]
@@ -896,7 +905,7 @@ class TestRejections:
         ("two mask lines", 1, "bad.txt: manifest lists more than one mask"),
         ("mask not 0/1", 1, "mask.rnm: mask values must be 0 or 1"),
         ("NaN in a run", 1, "run02.rnm: map 2 contains non-finite values"),
-        ("second ica data file missing without --group", 2, "single-run mode takes exactly one data file"),
+        ("second ica data file missing", 1, "gone.rnm"),
         ("ica without --q", 2, "--q is required"),
         ("config value with '%'", 2, "nonlinearity must be one of"),
         ("config [DEFAULT] section", 2, "bad.txt: unknown section [DEFAULT]"),

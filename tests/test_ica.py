@@ -21,11 +21,16 @@ from raicarn.ica import (
     residual_sd,
     run_group_ica,
     run_single_ica,
-    stack_group,
     z_scale,
 )
 from raicarn.synth import gen_mixture, gen_sources
 from raicarn.types import IcaModel
+
+
+def _model_bytes(model):
+    """Every field of a fitted model, as bytes to compare bit for bit."""
+    return (model.mu.tobytes(), model.A.tobytes(), model.S.tobytes(),
+            repr(model.sigma2), model.stopped, model.n_iters)
 
 
 def _aligned_corrs(S_true, S_hat):
@@ -234,38 +239,6 @@ class TestResidualSd:
             residual_sd(Yc, model)
 
 
-class TestStackGroup:
-    def test_equals_the_stack_of_centred_datasets(self):
-        rng = np.random.default_rng(26)
-        mats = [rng.standard_normal((p, 1001)) + rng.standard_normal((p, 1)) for p in (2, 5, 3)]
-        mats[1] = np.asfortranarray(mats[1])
-        reference = np.vstack([center(m)[1] for m in mats])
-        stack = stack_group(mats)
-        assert stack.shape == (10, 1001)
-        assert stack.tobytes() == reference.tobytes()
-
-    def test_integer_datasets_are_read_as_float64(self):
-        mats = [np.arange(12).reshape(3, 4), np.arange(8).reshape(2, 4) ** 2]
-        reference = np.vstack([center(m)[1] for m in mats])
-        assert stack_group(mats).tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize("bad, error", [
-        (np.zeros((3, 11)), ShapeMismatchError),
-        (np.full((3, 10), np.nan), NonFiniteError),
-    ])
-    def test_rejects(self, bad, error):
-        with pytest.raises(error):
-            stack_group([np.ones((2, 10)), bad])
-
-    @pytest.mark.parametrize("bad", [np.ones(5), np.ones((2, 2, 5)), np.float64(1.0)])
-    def test_rejects_a_dataset_that_is_not_a_matrix(self, bad):
-        # checked before any dataset's location count is read
-        with pytest.raises(DegenerateDataError):
-            stack_group([bad])
-        with pytest.raises(DegenerateDataError):
-            stack_group([np.ones((2, 5)), bad])
-
-
 class TestRunSingleIca:
     def test_planted_recovery(self):
         S = gen_sources(3, 5000, "laplacian", seed=12)
@@ -311,6 +284,21 @@ class TestRunSingleIca:
         Y, _, _ = gen_mixture(S, p=10, sigma=0.1, seed=21)
         model = run_single_ica(Y, IcaConfig(q=2, seed=0))
         assert model.sigma2 == pytest.approx(0.01, rel=0.2)
+
+    def test_memory_order_does_not_change_the_bits(self):
+        # the fit runs on a C-ordered copy, so a Fortran-ordered or strided
+        # Y fits as the same Y in C order
+        S = gen_sources(3, 2000, "laplacian", seed=18)
+        Y, _, _ = gen_mixture(S, p=9, sigma=0.3, seed=19)
+        Y = np.ascontiguousarray(Y)
+        reference = _model_bytes(run_single_ica(Y, IcaConfig(q=3, seed=0)))
+        for other in (np.asfortranarray(Y), np.repeat(Y, 2, axis=1)[:, ::2]):
+            assert _model_bytes(run_single_ica(other, IcaConfig(q=3, seed=0))) == reference
+
+    @pytest.mark.parametrize("bad", [np.ones(5), np.ones((2, 2, 5))], ids=["1-D", "3-D"])
+    def test_rejects_an_input_that_is_not_a_matrix(self, bad):
+        with pytest.raises(DegenerateDataError):
+            run_single_ica(bad, IcaConfig(q=1, seed=0))
 
 
 class TestIcaModel:
@@ -361,19 +349,30 @@ class TestCallersArraysAreLeftAsTheyAre:
         Y = self._data()
         before = Y.copy()
         center(Y)
-        stack_group([Y, Y])
         run_group_ica([Y, Y], IcaConfig(q=2, seed=0))
         assert Y.tobytes() == before.tobytes()
 
 
 class TestRunGroupIca:
     def test_single_dataset_matches_single_run(self):
+        # a group of one is a single run, to the bit, in either memory order
         S = gen_sources(2, 2000, "uniform", seed=22)
         Y, _, _ = gen_mixture(S, p=8, sigma=0.1, seed=23)
-        g = run_group_ica([Y], IcaConfig(q=2, seed=0))
-        s = run_single_ica(Y, IcaConfig(q=2, seed=0))
-        np.testing.assert_allclose(g.S, s.S, atol=1e-8)
-        np.testing.assert_allclose(g.mu, 0.0, atol=1e-10)
+        for order in ("C", "F"):
+            Y = np.asarray(Y, order=order)
+            g = run_group_ica([Y], IcaConfig(q=2, seed=0))
+            s = run_single_ica(Y, IcaConfig(q=2, seed=0))
+            assert _model_bytes(g) == _model_bytes(s)
+            assert g.mu.tobytes() == np.ascontiguousarray(Y).mean(axis=1).tobytes()
+
+    def test_fits_the_stack_of_the_datasets(self):
+        # the group's mean is the stack's row means, so the stack ~ mu + A S
+        rng = np.random.default_rng(26)
+        mats = [rng.standard_normal((p, 1001)) + rng.standard_normal((p, 1)) for p in (2, 5, 3)]
+        mats[1] = np.asfortranarray(mats[1])
+        g = run_group_ica(mats, IcaConfig(q=3, seed=0))
+        assert _model_bytes(g) == _model_bytes(run_single_ica(np.vstack(mats), IcaConfig(q=3, seed=0)))
+        assert g.mu.shape == (10,)
 
     def test_duplicated_dataset_agrees_with_single(self):
         S = gen_sources(2, 3000, "laplacian", seed=24)
@@ -385,6 +384,35 @@ class TestRunGroupIca:
     def test_mismatched_n_rejected(self):
         with pytest.raises(ShapeMismatchError):
             run_group_ica([np.zeros((3, 10)), np.zeros((3, 11))], IcaConfig(q=1, seed=0))
+
+
+class TestStackGroup:
+    """The group that run_group_ica stacks: its datasets are read as
+    float64 matrices of one location count, checked before the stack is
+    built, and the stack's values are checked by the fit."""
+
+    def test_integer_datasets_are_read_as_float64(self):
+        rng = np.random.default_rng(27)
+        mats = [rng.integers(-9, 10, size=(p, 200)) for p in (3, 2)]
+        g = run_group_ica(mats, IcaConfig(q=2, seed=0))
+        reference = run_group_ica([m.astype(np.float64) for m in mats], IcaConfig(q=2, seed=0))
+        assert _model_bytes(g) == _model_bytes(reference)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((3, 11)), ShapeMismatchError),
+        (np.full((3, 10), np.nan), NonFiniteError),
+    ])
+    def test_rejects(self, bad, error):
+        with pytest.raises(error):
+            run_group_ica([np.ones((2, 10)), bad], IcaConfig(q=1, seed=0))
+
+    @pytest.mark.parametrize("bad", [np.ones(5), np.ones((2, 2, 5)), np.float64(1.0)])
+    def test_rejects_a_dataset_that_is_not_a_matrix(self, bad):
+        # checked before any dataset's location count is read
+        with pytest.raises(DegenerateDataError):
+            run_group_ica([bad], IcaConfig(q=1, seed=0))
+        with pytest.raises(DegenerateDataError):
+            run_group_ica([np.ones((2, 5)), bad], IcaConfig(q=1, seed=0))
 
 
 class TestIcaConfig:

@@ -97,8 +97,14 @@ class TestComputeCrcm:
             return read(self, r, lo, hi)
 
         monkeypatch.setattr(io.RunFiles, "run", spy)
+        # the index of the kept locations is built once, when the manifest
+        # is opened, not on each of the 12 reads
+        builds = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: builds.append(np.shape(a)) or flatnonzero(a))
         G = compute_crcm(io.open_runs(tmp_path / "manifest.txt"))
         assert reads == [(0, None)] * 3 + [(20, 40)] * 3 + [(40, 60)] * 3 + [(60, 66)] * 3
+        assert builds == [(100,)]
         with np.errstate(divide="ignore", invalid="ignore"):
             expected = np.nan_to_num(np.corrcoef(maps[..., mask].reshape(12, -1)))
         np.testing.assert_allclose(G.signed, expected, rtol=0, atol=1e-14)
@@ -106,7 +112,6 @@ class TestComputeCrcm:
         assert G.signed.tobytes() == loaded.signed.tobytes()
         assert np.array_equal(G.signed, G.signed.T)
         assert not G.signed[6].any() and not G.signed[:, 6].any()
-
 
     def test_underflowing_map_divides_as_the_where_form(self):
         # a map of values near 1e-170 has squares that underflow, so its

@@ -70,3 +70,13 @@ def test_group_digests_cover_every_block_and_every_ica_output(monkeypatch, tmp_p
     found = digests.group_digests(str(tmp_path), 12, 600, 3, 4, 2, 10, 1.0, seed=1)
     assert list(found) == [*(f"inputs/data{i}.rnm" for i in range(4)),
                            *(f"out/group/{name}" for name in ("components.rnm", "mean.rnm", "mixing.rnm", "model.txt"))]
+
+
+def test_group_digests_equal_the_first_restarts(monkeypatch, tmp_path):
+    # the 4 row blocks are one stack, so ica on them writes the bytes that
+    # ica on the whole data writes at the same seed
+    digests, _ = _digests_and_bench(monkeypatch)
+    group = digests.group_digests(str(tmp_path / "group"), 12, 600, 3, 4, 2, 10, 1.0, seed=1)
+    restarts = digests.restarts_digests(str(tmp_path / "restarts"), 12, 600, 3, 4, 2, 10, 1.0, seed=1)
+    names = ("components.rnm", "mean.rnm", "mixing.rnm", "model.txt")
+    assert [group[f"out/group/{name}"] for name in names] == [restarts[f"out/ica00/{name}"] for name in names]
