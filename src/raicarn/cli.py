@@ -25,16 +25,12 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DomainError, ValueError) as e:
+    except (DomainError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (RaicarnError, OSError) as e:
@@ -153,7 +149,7 @@ def cmd_ica(args) -> int:
     and residual_sd reads centred."""
     settings = _settings(args, "ica")
     if "q" not in settings:
-        raise UsageError("model order --q is required (flag or config)")
+        raise ValueError("model order --q is required (flag or config)")
     cfg = IcaConfig(**settings, seed=args.seed)
     Y = io.read_stack(args.data)
     model = _fit(Y, cfg)
@@ -212,7 +208,7 @@ def cmd_mixture(args) -> int:
 
     cfg = MixtureConfig(**_settings(args, "mixture"))
     if args.bins < 1:
-        raise UsageError(f"--bins must be >= 1, got {args.bins}")
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     report = io.read_report(args.report)
     runs = io.open_runs(args.manifest)
     for mc in report.matched:
@@ -225,16 +221,19 @@ def cmd_mixture(args) -> int:
     # before anything is written; one component's maps are held at a time,
     # and only its t-map and degenerate mask are kept.
     fitted = []
-    for rank, (mc, sig) in enumerate(zip(report.matched, report.significant), start=1):
-        if not sig:
-            continue
-        maps = runs.rows((run, comp) for run, comp, _ in mc.members)
-        maps *= np.array([sign for _, _, sign in mc.members], dtype=np.float64)[:, None]
-        normalized = mixture.normalize_maps(maps)
-        del maps
-        fitted.append((rank, *mixture.group_tstat(normalized)))
-        del normalized
-    mixture._quantile_table.cache_clear()  # built once for all the components
+    try:
+        for rank, (mc, sig) in enumerate(zip(report.matched, report.significant), start=1):
+            if not sig:
+                continue
+            maps = runs.rows((run, comp) for run, comp, _ in mc.members)
+            maps *= np.array([sign for _, _, sign in mc.members], dtype=np.float64)[:, None]
+            normalized = mixture.normalize_maps(maps)
+            del maps
+            fitted.append((rank, *mixture.group_tstat(normalized)))
+            del normalized
+    finally:
+        # built once for all the components, and not kept past the command
+        mixture._quantile_table.cache_clear()
     out = _outdir(args)
     n_degenerate = 0
     for rank, t_map, degenerate in fitted:

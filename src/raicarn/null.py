@@ -8,11 +8,12 @@ values. The relabelled matrix is never built: the matcher reads each row's
 partners from one descending sort of that row, shared by the observed call
 and every replicate, and advances per-row pointers in batches of
 replicates, through windows that grow from 2 entries, keeping each row's
-maximum and used-row mask in pseudo order. A step's per-run pick is one
-first-index argmax over the anchor column and row side by side, and no
-reduction repeats an argmax to read its maximum. Each replicate draws its
-RNG from (seed, replicate_index), so a replicate's values do not depend
-on R, on the batching, or on which replicates ran before.
+maximum in pseudo order, -inf once used, when its pseudo-run reads -1.
+A step's per-run pick is one first-index argmax over the anchor column
+and row side by side, and no reduction repeats an argmax to read its
+maximum. Each replicate draws its RNG from (seed, replicate_index), so a
+replicate's values do not depend on R, on the batching, or on which
+replicates ran before.
 """
 
 import numpy as np

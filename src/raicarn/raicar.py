@@ -8,9 +8,9 @@ matcher never builds a working matrix: it sorts each row of |G| once per
 matrix and keeps one pointer per row at that row's best partner still
 free and in another run, advancing only the pointers a step made stale,
 through windows that start at 2 entries and grow for the few long walks.
-Each row's current maximum and a mask reading -inf at used rows are kept
-in the order of the (pseudo-)labels, written in place as pointers move
-and rows are used. Every per-row reduction over a run's members or a
+Each row's current maximum is kept in the order of the (pseudo-)labels,
+written in place as pointers move; a used row's maximum reads -inf and
+its pseudo-run -1. Every per-row reduction over a run's members or a
 window's entries is one first-index argmax, or none where the window is
 1 or 2 entries wide; no reduction repeats an argmax to read its maximum.
 Observed sets and permutation-null sets (relabellings of that matrix,
@@ -100,11 +100,11 @@ def _greedy(G: Crcm, perms: np.ndarray):
     the rows and columns of used components at -inf; it is never built.
     Instead each (replicate, row) keeps a pointer into ``G.row_order`` at
     the row's best partner that is unused and in another pseudo-run, so
-    the pointer's value is the row's maximum. That maximum (-inf once the
-    row is used) and an additive mask (0.0 while free, -inf once used) are
-    kept in pseudo order, and a move of a pointer or a use of a row writes
-    them in place. A step reads those two B x N arrays, two O(N) rows, and
-    the pointers its members made stale.
+    the pointer's value is the row's maximum, kept in pseudo order. A use
+    of a row writes only its pseudo-run, to -1, and its maximum, to -inf.
+    A step reads the maxima, two O(N) rows capped by them, and the pointers
+    its members made stale. G is exactly symmetric, so a free row outside
+    the capped row's pseudo-run keeps its entry and a used row reads -inf.
 
     The two rows are laid side by side per pseudo-run, column fj's entries
     then row fi's, so that one first-index argmax over the pair picks each
@@ -131,22 +131,18 @@ def _greedy(G: Crcm, perms: np.ndarray):
     signed = G.signed.reshape(-1)
     reps = np.arange(B)
     runs = np.arange(K)
-    # state cell b * N + u belongs to replicate b and G's row u
+    # state cell c = b * N + u belongs to replicate b, whose cells start at
+    # c - c % N, and to G's row u, which starts at u * N in the flat arrays
     offset = (reps * N)[:, None]
     cell = perms + offset  # state cell of each pseudo label
-    base_of = np.repeat(reps * N, N)  # first state cell of its replicate
-    row_start = np.tile(np.arange(0, N * N, N), B)  # its row's start in the flat arrays
-    block = np.empty(B * N, dtype=np.int32)  # its pseudo-run
+    block = np.empty(B * N, dtype=np.int32)  # its pseudo-run; -1 once used
     block[cell] = np.arange(N) // n_C
     at = np.empty(B * N, dtype=np.int64)  # its flat position in pseudo order
     at[cell] = np.arange(B * N).reshape(B, N)
-    free = np.ones(B * N, dtype=bool)
-    ptr = row_start - 1  # position of its pointer in the flat row_order
+    ptr = np.arange(B * N) % N * N - 1  # position of its pointer in the flat row_order
     steps = np.arange(1, N + 1)[:, None]  # a window's offsets from the pointer
     tgt = np.empty(B * N, dtype=np.int64)  # state cell under the pointer
-    # in pseudo order: each row's maximum, and 0.0 while free; -inf once used
-    top = np.empty((B, N))
-    closed = np.zeros((B, K, n_C))
+    top = np.empty((B, N))  # in pseudo order: each row's maximum; -inf once used
     # per pseudo-run: the working entries of column fj, then of row fi
     pair = np.empty((B, K, 2, n_C))
 
@@ -170,8 +166,9 @@ def _greedy(G: Crcm, perms: np.ndarray):
             # partner before its row's end, so the entries a window reads
             # past that end are never taken; "clip" keeps the last row's
             # inside the array
-            t = order.take(p + steps[:width], mode="clip") + base_of[todo]
-            ok = free[t] & (block[t] != block[todo])
+            t = order.take(p + steps[:width], mode="clip") + (todo - todo % N)
+            bt = block[t]
+            ok = (bt >= 0) & (bt != block[todo])
             # each pointer moves to its window's first usable entry, or to
             # the window's last entry if none is usable
             if width <= 2:
@@ -184,15 +181,16 @@ def _greedy(G: Crcm, perms: np.ndarray):
             ptr[todo] = p
             todo, grow = todo[~found], grow * 4
         col = order[ptr[cells]]
-        tgt[cells] = base_of[cells] + col
-        top.reshape(-1)[at[cells]] = np.abs(signed[row_start[cells] + col])
+        u = cells % N
+        tgt[cells] = cells - u + col
+        top.reshape(-1)[at[cells]] = np.abs(signed[u * N + col])
 
     def working_row(f, side):
         """Row f of each replicate's working matrix, in pseudo order,
         written into one side of ``pair``."""
         w = pair[:, :, side]
         entries = np.abs(signed[(perms[reps, f] * N)[:, None] + perms])
-        np.add(entries.reshape(B, K, n_C), closed, out=w)
+        np.minimum(entries.reshape(B, K, n_C), top.reshape(B, K, n_C), out=w)
         w[reps, f // n_C] = -np.inf
         return w
 
@@ -213,11 +211,10 @@ def _greedy(G: Crcm, perms: np.ndarray):
         slots = offset + runs * n_C + pick  # the members' cells in a B x N array
         taken = perms.reshape(-1)[slots]
         members[:, s], anchor_run[:, s] = taken, fi // n_C
-        free[taken + offset] = False
+        block[taken + offset] = -1
         top.reshape(-1)[slots] = -np.inf
-        closed.reshape(-1)[slots] = -np.inf
         if s + 1 < n_C:
-            advance(np.flatnonzero(free & ~free[tgt]))
+            advance(np.flatnonzero((block >= 0) & (block[tgt] < 0)))
     return members, anchor_run
 
 

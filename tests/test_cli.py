@@ -442,6 +442,24 @@ class TestMixtureCommand:
         assert len(built) == 1
         assert mixture._quantile_table.cache_info().currsize == 0  # not kept past the command
 
+    def test_quantile_table_is_not_kept_past_a_failure(self, tmp_path):
+        # a NaN in a member map of the second significant component fails
+        # the command after the first component built the table
+        from raicarn import mixture
+
+        manifest, report = self._analysis(tmp_path)
+        rep = io.read_report(report)
+        second = [mc for mc, sig in zip(rep.matched, rep.significant) if sig][1]
+        run, comp, _ = second.members[0]
+        path = tmp_path / "sim" / f"run{run:02d}.rnm"
+        maps = io.read_matrix(path)
+        maps[comp, 17] = np.nan
+        _write_unchecked(maps, path)
+        mixture._quantile_table.cache_clear()
+        rc = main(["mixture", "--report", report, "--manifest", manifest, "--out", str(tmp_path / "mix")])
+        assert rc == 1
+        assert mixture._quantile_table.cache_info().currsize == 0
+
     @pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--tol", "-1"], ["--tol", "nan"]])
     def test_bad_stopping_rule_is_usage_error(self, tmp_path, flags):
         manifest, report = self._analysis(tmp_path)

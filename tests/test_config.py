@@ -59,10 +59,12 @@ tol = 1e-8
         with pytest.raises(ValueError, match="bad value for ica.q"):
             load_pipeline_config(_write(tmp_path, "[ica]\nq = %(x)s\n"))
 
-    @pytest.mark.parametrize("text", ["[DEFAULT]\nR = 5\n", "[DEFAULT]\nR = 5\n[null]\n"])
+    @pytest.mark.parametrize(
+        "text", ["[DEFAULT]\nR = 5\n", "[DEFAULT]\nR = 5\n[null]\n", "[DEFAULT]\n[null]\nR = 5\n"]
+    )
     def test_default_section_is_unknown(self, tmp_path, text):
         # configparser would copy [DEFAULT]'s keys into every section, or
-        # drop them when no section follows
+        # drop them when no section follows; an empty one is unknown too
         with pytest.raises(ValueError, match=r"unknown section \[DEFAULT\]"):
             load_pipeline_config(_write(tmp_path, text))
 

@@ -1,6 +1,8 @@
-"""Smoke runs of the scripts under scripts/: each one exits 0 on tiny inputs."""
+"""Smoke runs of the scripts under scripts/ on tiny inputs, and checks of
+bench_pairs.py with fakes for its exporter and runner, so no benchmark runs."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -80,3 +82,43 @@ def test_group_digests_equal_the_first_restarts(monkeypatch, tmp_path):
     restarts = digests.restarts_digests(str(tmp_path / "restarts"), 12, 600, 3, 4, 2, 10, 1.0, seed=1)
     names = ("components.rnm", "mean.rnm", "mixing.rnm", "model.txt")
     assert [group[f"out/group/{name}"] for name in names] == [restarts[f"out/ica00/{name}"] for name in names]
+
+
+def _bench_pairs(monkeypatch, values, bad=None):
+    """bench_pairs with its exporter and runner replaced by fakes: the
+    k-th run of a side reads values[side][k] as raicarn_s. Returns the
+    module and the list of (side, seed) runs it makes."""
+    pairs = _load(SCRIPTS / "bench_pairs.py", "bench_pairs")
+    calls = []
+    monkeypatch.setattr(pairs, "export", lambda rev, root: ("/x/parent", "/x/change"))
+
+    def run_one(directory, workload, seed, seconds):
+        side = os.path.basename(directory)
+        value = values[side][sum(s == side for s, _ in calls)]
+        calls.append((side, seed))
+        line = {"correct": (side, len(calls)) != bad, "attempted": 3, "failed": 0,
+                "metrics": {"raicarn_s": {"value": value, "unit": "s"},
+                            "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
+        return 0, line, ""
+
+    monkeypatch.setattr(pairs, "run_one", run_one)
+    return pairs, calls
+
+
+def test_bench_pairs_alternates_order_and_seed_and_summarises(monkeypatch, capsys):
+    values = {"parent": [0.10, 0.12, 0.11, 0.13], "change": [0.09, 0.13, 0.10, 0.12]}
+    pairs, calls = _bench_pairs(monkeypatch, values)
+    assert pairs.main(["--parent", "HEAD", "--workload", "paper", "--pairs", "4"]) == 0
+    assert calls == [("parent", 1), ("change", 1), ("change", 2248), ("parent", 2248)] * 2
+    out = capsys.readouterr().out
+    assert "  raicarn_s: 0.115 -> 0.11, lower in 3 of 4, IQR 0.015\n" in out
+    assert "  peak_rss_mb: 40 -> 40, lower in 0 of 4, IQR 0\n" in out
+    assert "  change: raicarn_s=0.13 peak_rss_mb=40\n" in out
+
+
+def test_bench_pairs_stops_at_an_incorrect_run(monkeypatch, capsys):
+    values = {"parent": [0.1] * 4, "change": [0.1] * 4}
+    pairs, calls = _bench_pairs(monkeypatch, values, bad=("change", 3))
+    assert pairs.main(["--parent", "HEAD", "--workload", "paper", "--pairs", "4"]) == 1
+    assert calls == [("parent", 1), ("change", 1), ("change", 2248)]
+    assert "change run of pair 2" in capsys.readouterr().err
