@@ -6,8 +6,9 @@ excludes) into a fresh `change/` directory beside it. Both names have six
 characters, since `paper`'s peak_rss_mb moves with the length of the
 checkout's path, and neither side runs from the working checkout, where
 setup_s reads high. Each pair runs `bench/run.py --workload W --seed S
---seconds T --trace 0` once in each copy: odd pairs at seed 1 with the
-parent first, even pairs at seed 2248 with the change first.
+--seconds T --trace 0` once in each copy, T being the copy's
+BENCHMARK.json `run_seconds`: odd pairs at seed 1 with the parent first,
+even pairs at seed 2248 with the change first.
 
 Prints each pair's end-to-end metrics for both sides, then, per metric,
 both medians, the number of pairs in which the change read lower, and the
@@ -17,7 +18,7 @@ failed commands. The copies live in a temporary directory (under $TMPDIR)
 that is removed at the end.
 
 Usage: python3 scripts/bench_pairs.py --parent HEAD --workload paper
-       python3 scripts/bench_pairs.py --parent main --workload fmri --pairs 4 --seconds 25
+       python3 scripts/bench_pairs.py --parent main --workload fmri --pairs 4
 """
 
 import argparse
@@ -52,8 +53,10 @@ def export(rev, root):
     return parent, change
 
 
-def run_one(directory, workload, seed, seconds):
+def run_one(directory, workload, seed):
     """(exit code, result line or None, output) of one untraced run."""
+    with open(os.path.join(directory, "BENCHMARK.json")) as f:
+        seconds = json.load(f)["run_seconds"]
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -91,7 +94,6 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -103,7 +105,7 @@ def main(argv=None):
             print(f"pair {i} seed {seed} ({order[0]} first)")
             pair = {}
             for side in order:
-                code, line, output = run_one(dirs[side], args.workload, seed, args.seconds)
+                code, line, output = run_one(dirs[side], args.workload, seed)
                 if code != 0 or line is None or not line["correct"] or line["failed"] > 0:
                     print(output, file=sys.stderr)
                     print(f"error: {side} run of pair {i} exited {code}, result {line}", file=sys.stderr)

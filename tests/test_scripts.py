@@ -92,7 +92,7 @@ def _bench_pairs(monkeypatch, values, bad=None):
     calls = []
     monkeypatch.setattr(pairs, "export", lambda rev, root: ("/x/parent", "/x/change"))
 
-    def run_one(directory, workload, seed, seconds):
+    def run_one(directory, workload, seed):
         side = os.path.basename(directory)
         value = values[side][sum(s == side for s, _ in calls)]
         calls.append((side, seed))
